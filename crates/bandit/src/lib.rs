@@ -84,4 +84,4 @@ pub use snapshot::{restore_estimator, save_estimator, SnapshotError, MAGIC as SN
 pub use static_score::StaticScorePolicy;
 pub use ts::ThompsonSampling;
 pub use ucb::LinUcb;
-pub use workspace::{Arranger, ModelTierStats, PrefetchStats, ScoreWorkspace};
+pub use workspace::{ModelTierStats, PrefetchStats, ScoreWorkspace};

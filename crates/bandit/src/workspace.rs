@@ -4,41 +4,6 @@ use crate::{Oracle, OracleWorkspace, ScorePool, SelectionView};
 use fasea_core::Arrangement;
 use std::sync::Arc;
 
-/// A pluggable replacement for the oracle ranking step of
-/// [`ScoreWorkspace::arrange_into`].
-///
-/// When installed ([`ScoreWorkspace::set_arranger`]), the workspace
-/// hands the arranger the finished score vector plus its reusable
-/// [`OracleWorkspace`] scratch and lets it fill `out` — instead of
-/// running the locally installed [`Oracle`]. The sharded coordinator
-/// uses this seam to fan the top-k ranking out over shard actors
-/// (via [`Oracle::arrange_gathered`]) while scoring and every RNG draw
-/// still happen exactly once, in the policy, on the calling thread —
-/// which is what keeps an N-shard run byte-identical to the
-/// single-actor run.
-///
-/// **Contract:** the arrangement written to `out` must equal what the
-/// service's configured [`Oracle`] produces locally on the same inputs
-/// (for the default [`crate::GreedyOracle`], that is the greedy
-/// capacity-aware arrangement). Everything downstream (the
-/// WAL `Propose` records, recovery's replay cross-check, the golden
-/// parity tests) assumes it.
-///
-/// `Send + Sync` because the owning workspace lives inside policies
-/// that cross thread boundaries; `Debug` so the workspace's derives
-/// survive.
-pub trait Arranger: Send + Sync + std::fmt::Debug {
-    /// Fills `out` with the arrangement for `scores` under `view`,
-    /// reusing `ws` as scratch.
-    fn arrange(
-        &self,
-        scores: &[f64],
-        view: &SelectionView<'_>,
-        ws: &mut OracleWorkspace,
-        out: &mut Arrangement,
-    );
-}
-
 /// Per-policy scratch for one scoring round: the score vector the
 /// arrangement oracle consumes, the UCB width buffer, and the oracle's
 /// [`OracleWorkspace`] (visiting-order, conflict-mask and local-search
@@ -72,16 +37,14 @@ pub trait Arranger: Send + Sync + std::fmt::Debug {
 ///
 /// ## Oracle dispatch
 ///
-/// [`ScoreWorkspace::arrange_into`] picks the arrangement engine in
-/// precedence order:
-///
-/// 1. an installed [`Arranger`] ([`ScoreWorkspace::set_arranger`]) —
-///    the sharded coordinator's distributed ranking;
-/// 2. an installed [`Oracle`] ([`ScoreWorkspace::set_oracle`]) — e.g.
-///    [`crate::TabuOracle`], or an explicit [`crate::GreedyOracle`];
-/// 3. the built-in default: [`crate::GreedyOracle`] semantics (serial,
-///    or pooled when a multi-thread [`ScorePool`] is installed) —
-///    bit-identical to an explicitly installed greedy oracle.
+/// [`ScoreWorkspace::arrange_into`] runs the installed [`Oracle`]
+/// ([`ScoreWorkspace::set_oracle`]) — e.g. [`crate::TabuOracle`], an
+/// explicit [`crate::GreedyOracle`], or the sharded coordinator's
+/// routing oracle, which fans the ranking out over shard actors through
+/// [`Oracle::arrange_gathered`]. With none installed it runs the
+/// built-in [`crate::GreedyOracle`] semantics (serial, or pooled when a
+/// multi-thread [`ScorePool`] is installed) — bit-identical to an
+/// explicitly installed greedy oracle.
 ///
 /// ## Parallelism
 ///
@@ -116,7 +79,6 @@ pub struct ScoreWorkspace {
     oracle_ws: OracleWorkspace,
     pool: Option<Arc<ScorePool>>,
     oracle: Option<Arc<dyn Oracle>>,
-    arranger: Option<Arc<dyn Arranger>>,
     scored_once: bool,
     model_epoch: u64,
     prefetch: PrefetchSlot,
@@ -226,8 +188,7 @@ impl ScoreWorkspace {
 
     /// Installs (or removes, with `None`) the [`Oracle`] that owns the
     /// arrangement step of [`ScoreWorkspace::arrange_into`]. `None`
-    /// means the built-in [`crate::GreedyOracle`] semantics. An
-    /// installed [`Arranger`] still takes precedence.
+    /// means the built-in [`crate::GreedyOracle`] semantics.
     pub fn set_oracle(&mut self, oracle: Option<Arc<dyn Oracle>>) {
         self.oracle = oracle;
     }
@@ -235,19 +196,6 @@ impl ScoreWorkspace {
     /// The installed oracle, if any.
     pub fn oracle(&self) -> Option<&Arc<dyn Oracle>> {
         self.oracle.as_ref()
-    }
-
-    /// Installs (or removes, with `None`) an external [`Arranger`] that
-    /// replaces the local oracle in [`ScoreWorkspace::arrange_into`].
-    /// Takes precedence over both an installed [`Oracle`] and the score
-    /// pool's sharded ranking.
-    pub fn set_arranger(&mut self, arranger: Option<Arc<dyn Arranger>>) {
-        self.arranger = arranger;
-    }
-
-    /// The installed external arranger, if any.
-    pub fn arranger(&self) -> Option<&Arc<dyn Arranger>> {
-        self.arranger.as_ref()
     }
 
     /// The scores written by the most recent `score_into` round.
@@ -364,8 +312,8 @@ impl ScoreWorkspace {
     /// Runs the installed arrangement engine over the workspace's
     /// scores into a caller-owned arrangement, reusing the workspace's
     /// [`OracleWorkspace`] buffers — see the *Oracle dispatch* section
-    /// of the type docs for the precedence order. With no oracle or
-    /// arranger installed this is the allocation-free
+    /// of the type docs. With no oracle installed this is the
+    /// allocation-free
     /// [`crate::GreedyOracle`] path (pooled when a multi-thread
     /// [`ScorePool`] is installed — bit-identical arrangements either
     /// way).
@@ -374,13 +322,8 @@ impl ScoreWorkspace {
             scores,
             oracle_ws,
             oracle,
-            arranger,
             ..
         } = self;
-        if let Some(arranger) = arranger {
-            arranger.arrange(scores, view, oracle_ws, out);
-            return;
-        }
         if let Some(oracle) = oracle {
             oracle.arrange_into(
                 scores,
@@ -491,49 +434,6 @@ mod tests {
         ws.set_oracle(None);
         ws.arrange_into(&view, &mut out);
         assert_eq!(out.events(), &[EventId(0)]);
-    }
-
-    #[test]
-    fn installed_arranger_owns_the_arrangement_step() {
-        use fasea_core::EventId;
-
-        #[derive(Debug)]
-        struct Fixed;
-        impl Arranger for Fixed {
-            fn arrange(
-                &self,
-                scores: &[f64],
-                _view: &SelectionView<'_>,
-                _ws: &mut OracleWorkspace,
-                out: &mut Arrangement,
-            ) {
-                assert_eq!(scores.len(), 4);
-                out.clear();
-                out.push(EventId(3));
-            }
-        }
-
-        let g = ConflictGraph::new(4);
-        let contexts = ContextMatrix::zeros(4, 1);
-        let remaining = [1u32; 4];
-        let view = SelectionView {
-            t: 0,
-            user_capacity: 2,
-            contexts: &contexts,
-            conflicts: &g,
-            remaining: &remaining,
-        };
-        let mut ws = ScoreWorkspace::new();
-        ws.scores_mut(4).copy_from_slice(&[1.0, 2.0, 3.0, 0.5]);
-        ws.set_arranger(Some(Arc::new(Fixed)));
-        assert!(ws.arranger().is_some());
-        let mut out = Arrangement::empty();
-        ws.arrange_into(&view, &mut out);
-        assert_eq!(out.events(), &[EventId(3)]);
-        // Uninstalling restores the local oracle.
-        ws.set_arranger(None);
-        ws.arrange_into(&view, &mut out);
-        assert_eq!(out.events(), &[EventId(2), EventId(1)]);
     }
 
     #[test]

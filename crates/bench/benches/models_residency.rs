@@ -35,6 +35,7 @@
 
 use fasea_models::{EstimatorStore, StoreConfig, UserId, UserSchedule};
 use fasea_stats::crn::mix64;
+use fasea_store::TempDir;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -69,12 +70,6 @@ fn cohort_count() -> usize {
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(256)
         .max(1)
-}
-
-fn bench_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("fasea-bench-models-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// A cheap deterministic context vector for round `t` (unit-scale
@@ -137,7 +132,7 @@ struct CellResult {
 }
 
 fn run_cell(population: usize, mode: Mode, steady_budget: Duration) -> CellResult {
-    let dir = bench_dir(&format!("{population}-{}", mode.tag()));
+    let dir = TempDir::new(&format!("bench-models-{population}-{}", mode.tag()));
     let mut config = if mode.bounded {
         StoreConfig::bounded(DIM, LAMBDA, HOT_BUDGET, WARM_BUDGET, &dir)
     } else {
@@ -237,7 +232,6 @@ fn run_cell(population: usize, mode: Mode, steady_budget: Duration) -> CellResul
         cohort_hits: stats.cohort_hits,
     };
     drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
     result
 }
 

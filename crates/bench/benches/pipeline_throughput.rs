@@ -35,7 +35,7 @@ use fasea_datagen::{SyntheticConfig, SyntheticWorkload};
 use fasea_serve::{ClientConfig, ServeClient, Server, ServerConfig};
 use fasea_sim::{DurableArrangementService, DurableOptions, RoundPipeline};
 use fasea_stats::CoinStream;
-use fasea_store::FsyncPolicy;
+use fasea_store::{FsyncPolicy, TempDir};
 
 const SEED: u64 = 0x919E_5EED;
 const NUM_EVENTS: usize = 30;
@@ -66,13 +66,6 @@ fn durable_opts() -> DurableOptions {
         .with_group_commit(true)
 }
 
-fn tmp(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("fasea-bench-pipe-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 struct Cell {
     layer: &'static str,
     depth: usize,
@@ -84,7 +77,7 @@ struct Cell {
 /// Sim layer: the pipelined engine against a group-commit durable
 /// service, timed over `window` in fixed-size chunks.
 fn run_sim_cell(depth: usize, window: Duration) -> Cell {
-    let dir = tmp(&format!("sim-{depth}"));
+    let dir = TempDir::new("bench-pipe-sim");
     let w = workload();
     let mut svc = DurableArrangementService::open(
         &dir,
@@ -120,7 +113,6 @@ fn run_sim_cell(depth: usize, window: Duration) -> Cell {
     let elapsed = started.elapsed();
     let rounds = svc.rounds_completed();
     svc.close().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
     Cell {
         layer: "sim",
         depth,
@@ -163,7 +155,7 @@ fn drive_one_round(client: &mut ServeClient, workload: &SyntheticWorkload, coins
 /// Serve layer: four concurrent loopback clients against a server at
 /// the given admission depth, group commit on, fsync before ack.
 fn run_serve_cell(depth: usize, window: Duration) -> Cell {
-    let dir = tmp(&format!("serve-{depth}"));
+    let dir = TempDir::new("bench-pipe-serve");
     let svc = DurableArrangementService::open(
         &dir,
         workload().instance,
@@ -197,11 +189,11 @@ fn run_serve_cell(depth: usize, window: Duration) -> Cell {
     let completed = AtomicU64::new(0);
     let started = Instant::now();
     let deadline = started + window;
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..CLIENTS {
             let addr = addr.clone();
             let completed = &completed;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let wl = workload();
                 let coins = CoinStream::new(SEED ^ 0xFEED);
                 let mut client = ServeClient::connect(
@@ -218,14 +210,12 @@ fn run_serve_cell(depth: usize, window: Duration) -> Cell {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let elapsed = started.elapsed();
 
     handle.initiate_shutdown();
     let report = handle.join();
     assert!(report.close.error.is_none(), "{:?}", report.close.error);
-    let _ = std::fs::remove_dir_all(&dir);
 
     let rounds = completed.load(Ordering::Relaxed);
     Cell {

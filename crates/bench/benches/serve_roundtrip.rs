@@ -18,7 +18,7 @@ use fasea_serve::{
 };
 use fasea_sim::{DurableArrangementService, DurableOptions};
 use fasea_stats::CoinStream;
-use fasea_store::FsyncPolicy;
+use fasea_store::{FsyncPolicy, TempDir};
 use std::hint::black_box;
 
 const SEED: u64 = 0xBE7C_5EED;
@@ -34,13 +34,8 @@ fn workload() -> SyntheticWorkload {
     })
 }
 
-fn start_server(tag: &str, workers: usize) -> (ServerHandle, std::path::PathBuf) {
-    let dir = std::env::temp_dir().join(format!(
-        "fasea-bench-serve-{tag}-{workers}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+fn start_server(tag: &str, workers: usize) -> (ServerHandle, TempDir) {
+    let dir = TempDir::new(&format!("bench-serve-{tag}-{workers}"));
     let svc = DurableArrangementService::open(
         &dir,
         workload().instance,
@@ -112,7 +107,7 @@ fn bench_round_latency(c: &mut Criterion) {
         drop(client);
         handle.initiate_shutdown();
         handle.join();
-        let _ = std::fs::remove_dir_all(&dir);
+        drop(dir);
     }
     group.finish();
 }
@@ -129,11 +124,11 @@ fn bench_multi_client_throughput(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("clients", clients), &clients, |b, _| {
             b.iter(|| {
                 let done = AtomicU64::new(0);
-                crossbeam::thread::scope(|s| {
+                std::thread::scope(|s| {
                     for _ in 0..clients {
                         let addr = addr.clone();
                         let done = &done;
-                        s.spawn(move |_| {
+                        s.spawn(move || {
                             let wl = workload();
                             let coins = CoinStream::new(SEED ^ 0xFEED);
                             let mut client = ServeClient::connect(
@@ -149,13 +144,12 @@ fn bench_multi_client_throughput(c: &mut Criterion) {
                             }
                         });
                     }
-                })
-                .unwrap();
+                });
             })
         });
         handle.initiate_shutdown();
         handle.join();
-        let _ = std::fs::remove_dir_all(&dir);
+        drop(dir);
     }
     group.finish();
 }

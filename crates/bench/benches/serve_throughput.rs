@@ -35,7 +35,7 @@ use fasea_datagen::{SyntheticConfig, SyntheticWorkload};
 use fasea_serve::{ClientConfig, ServeClient, Server, ServerConfig, ServerHandle};
 use fasea_sim::{DurableArrangementService, DurableOptions};
 use fasea_stats::CoinStream;
-use fasea_store::FsyncPolicy;
+use fasea_store::{FsyncPolicy, TempDir};
 
 const SEED: u64 = 0xBE7C_5EED;
 const NUM_EVENTS: usize = 30;
@@ -58,13 +58,8 @@ fn budget() -> Duration {
     Duration::from_millis(ms.max(10))
 }
 
-fn start_server(tag: &str, group_commit: bool) -> (ServerHandle, std::path::PathBuf) {
-    let dir = std::env::temp_dir().join(format!(
-        "fasea-bench-serve-tput-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+fn start_server(tag: &str, group_commit: bool) -> (ServerHandle, TempDir) {
+    let dir = TempDir::new(&format!("bench-serve-tput-{tag}"));
     let svc = DurableArrangementService::open(
         &dir,
         workload().instance,
@@ -127,7 +122,7 @@ struct Cell {
 /// Runs `clients` loopback sessions against a fresh server for the
 /// budget window and reports aggregate completed rounds/sec.
 fn run_cell(mode: &'static str, group_commit: bool, clients: usize, window: Duration) -> Cell {
-    let (handle, dir) = start_server(&format!("{mode}-{clients}"), group_commit);
+    let (handle, _dir) = start_server(&format!("{mode}-{clients}"), group_commit);
     let addr = handle.local_addr().to_string();
 
     // Warm up connections + the policy state outside the timed window.
@@ -143,11 +138,11 @@ fn run_cell(mode: &'static str, group_commit: bool, clients: usize, window: Dura
     let completed = AtomicU64::new(0);
     let started = Instant::now();
     let deadline = started + window;
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..clients {
             let addr = addr.clone();
             let completed = &completed;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let wl = workload();
                 let coins = CoinStream::new(SEED ^ 0xFEED);
                 let mut client = ServeClient::connect(
@@ -164,14 +159,12 @@ fn run_cell(mode: &'static str, group_commit: bool, clients: usize, window: Dura
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let elapsed = started.elapsed();
 
     handle.initiate_shutdown();
     let report = handle.join();
     assert!(report.close.error.is_none(), "{:?}", report.close.error);
-    let _ = std::fs::remove_dir_all(&dir);
 
     let rounds = completed.load(Ordering::Relaxed);
     Cell {

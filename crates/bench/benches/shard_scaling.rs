@@ -34,7 +34,7 @@ use fasea_datagen::{SyntheticConfig, SyntheticWorkload};
 use fasea_shard::ShardedArrangementService;
 use fasea_sim::{DurableArrangementService, DurableOptions};
 use fasea_stats::CoinStream;
-use fasea_store::FsyncPolicy;
+use fasea_store::{FsyncPolicy, TempDir};
 
 const SEED: u64 = 0x0005_AA2D_BE7C;
 const NUM_EVENTS: usize = 200;
@@ -92,12 +92,7 @@ macro_rules! drive_round {
 }
 
 fn run_cell(mode: &'static str, shards: usize, window: Duration) -> Cell {
-    let dir = std::env::temp_dir().join(format!(
-        "fasea-bench-shard-scaling-{mode}-{shards}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new(&format!("bench-shard-scaling-{mode}-{shards}"));
     let wl = workload();
     let coins = CoinStream::new(SEED ^ 0xFEED);
     let policy = Box::new(LinUcb::new(DIM, 1.0, 2.0));
@@ -136,7 +131,6 @@ fn run_cell(mode: &'static str, shards: usize, window: Duration) -> Cell {
         elapsed = started.elapsed();
         svc.close().unwrap();
     }
-    let _ = std::fs::remove_dir_all(&dir);
 
     Cell {
         mode,

@@ -27,7 +27,7 @@
 //! `FASEA_BENCH_MS` bounds the per-measurement budget (default 300 ms)
 //! so CI can smoke-run the file without touching committed numbers.
 
-use fasea_store::{FsyncPolicy, GroupCommitWal, Record, Wal, WalOptions};
+use fasea_store::{FsyncPolicy, GroupCommitWal, Record, TempDir, Wal, WalOptions};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -91,12 +91,6 @@ fn time_ns(budget: Duration, mut f: impl FnMut()) -> f64 {
     total.as_nanos() as f64 / iters.max(1) as f64
 }
 
-fn bench_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("fasea-bench-wal-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 fn open_wal(dir: &std::path::Path, policy: FsyncPolicy) -> Wal {
     let options = WalOptions {
         segment_bytes: 64 << 20,
@@ -108,7 +102,7 @@ fn open_wal(dir: &std::path::Path, policy: FsyncPolicy) -> Wal {
 /// ns per round (Propose + Feedback appends) through the synchronous
 /// WAL under `policy`.
 fn direct_round_ns(policy: FsyncPolicy, budget: Duration) -> f64 {
-    let dir = bench_dir(&format!("direct-{}", policy.label()));
+    let dir = TempDir::new("bench-wal-direct");
     let mut wal = open_wal(&dir, policy);
     let mut t = 0u64;
     let ns = time_ns(budget, || {
@@ -118,7 +112,6 @@ fn direct_round_ns(policy: FsyncPolicy, budget: Duration) -> f64 {
         black_box(seq);
     });
     drop(wal);
-    let _ = std::fs::remove_dir_all(&dir);
     ns
 }
 
@@ -127,7 +120,7 @@ fn direct_round_ns(policy: FsyncPolicy, budget: Duration) -> f64 {
 /// watermark to cover the last record — the syncer shares each fsync
 /// across the whole in-flight batch.
 fn group_round_ns(batch: u64, budget: Duration) -> f64 {
-    let dir = bench_dir(&format!("group-{batch}"));
+    let dir = TempDir::new("bench-wal-group");
     let group = GroupCommitWal::spawn(open_wal(&dir, FsyncPolicy::Always));
     let mut t = 0u64;
     let iter_ns = time_ns(budget, || {
@@ -140,7 +133,6 @@ fn group_round_ns(batch: u64, budget: Duration) -> f64 {
         black_box(group.wait_durable(last).unwrap());
     });
     group.close().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
     iter_ns / batch as f64
 }
 

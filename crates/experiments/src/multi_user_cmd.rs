@@ -45,6 +45,7 @@ use fasea_models::{
 };
 use fasea_sim::{run_multi_user_stored, AsciiTable, MultiUserRunResult};
 use fasea_stats::crn::mix64;
+use fasea_store::TempDir;
 use std::path::{Path, PathBuf};
 
 /// Parsed flags of the `multi-user` subcommand.
@@ -249,15 +250,17 @@ pub fn multi_user_main(args: &[String]) -> Result<(), String> {
         }
     }
 
-    let own_temp = spec.budget_mb > 0 && spec.spill_dir.is_none();
-    let spill_dir = spec.spill_dir.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("fasea-multi-user-{}", std::process::id()))
-    });
-    let report = run_spec(&spec, &spill_dir);
-    if own_temp {
-        let _ = std::fs::remove_dir_all(&spill_dir);
-    }
-    print!("{}", report?);
+    // Without --spill-dir the run spills into a scratch directory that
+    // is removed when it ends.
+    let scratch;
+    let spill_dir = match &spec.spill_dir {
+        Some(dir) => dir.as_path(),
+        None => {
+            scratch = TempDir::new("multi-user");
+            &*scratch
+        }
+    };
+    print!("{}", run_spec(&spec, spill_dir)?);
     Ok(())
 }
 
@@ -405,13 +408,6 @@ fn render_store_stats(s: &StoreStats) -> String {
 mod tests {
     use super::*;
 
-    fn temp(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("fasea-multi-user-cmd-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
     fn small(policy: &str) -> MultiUserSpec {
         MultiUserSpec {
             users: 40,
@@ -435,11 +431,10 @@ mod tests {
     #[test]
     fn verify_determinism_passes_for_both_policies() {
         for policy in ["multi-ucb", "multi-ts"] {
-            let dir = temp(policy);
+            let dir = TempDir::new(&format!("multi-user-cmd-{policy}"));
             let report = run_spec(&small(policy), &dir).expect("run_spec failed");
             assert!(report.contains("determinism: OK"), "{report}");
             assert!(report.contains("store: users="), "{report}");
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 
@@ -450,11 +445,10 @@ mod tests {
             cohort_folds: 3,
             ..small("multi-ucb")
         };
-        let dir = temp("cohort-parity");
+        let dir = TempDir::new("multi-user-cmd-cohort-parity");
         let report = run_spec(&spec, &dir).expect("run_spec failed");
         assert!(report.contains("determinism: OK"), "{report}");
         assert!(report.contains("cohorts: materialized="), "{report}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -472,7 +466,7 @@ mod tests {
             sketch_rank: 4,
             ..small("multi-ucb")
         };
-        let dir = temp("sketched-parity");
+        let dir = TempDir::new("multi-user-cmd-sketched-parity");
         let report = run_spec(&spec, &dir).expect("run_spec failed");
         assert!(
             report.contains("regret within tolerance"),
@@ -482,7 +476,6 @@ mod tests {
             !report.contains("demotions=0 "),
             "budget never bound — parity gate vacuous: {report}"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -499,7 +492,7 @@ mod tests {
     fn schedule_matches_the_workload_generator() {
         let spec = small("multi-ucb");
         let w = spec.workload();
-        let dir = temp("sched");
+        let dir = TempDir::new("multi-user-cmd-sched");
         let policy = spec.build_policy(Some(&dir)).unwrap();
         let schedule = match &policy {
             StorePolicy::Ucb(p) => p.schedule(),
@@ -509,7 +502,6 @@ mod tests {
             assert_eq!(schedule.user_at(t) as usize, w.user_at(t), "t={t}");
         }
         drop(policy);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

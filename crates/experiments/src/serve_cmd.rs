@@ -486,20 +486,31 @@ pub fn loadgen_main(args: &[String]) -> Result<(), String> {
     };
     let spec = Arc::new(spec);
     let started = Instant::now();
-    crossbeam::thread::scope(|s| {
-        for client_id in 0..clients {
-            let spec = Arc::clone(&spec);
-            let stats = &stats;
-            let addr = &addr;
-            s.spawn(move |_| {
-                if let Err(e) = drive_client(&spec, addr, rounds, stats) {
-                    stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    eprintln!("client {client_id}: {e}");
-                }
-            });
-        }
-    })
-    .map_err(|_| "a load client panicked".to_string())?;
+    let panicked = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..clients)
+            .map(|client_id| {
+                let spec = Arc::clone(&spec);
+                let stats = &stats;
+                let addr = &addr;
+                s.spawn(move || {
+                    if let Err(e) = drive_client(&spec, addr, rounds, stats) {
+                        stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                        eprintln!("client {client_id}: {e}");
+                    }
+                })
+            })
+            .collect();
+        // Join every client so a panic becomes an error here instead of
+        // unwinding out of the scope.
+        handles
+            .into_iter()
+            .map(|h| h.join())
+            .filter(Result::is_err)
+            .count()
+    });
+    if panicked > 0 {
+        return Err("a load client panicked".to_string());
+    }
     let elapsed = started.elapsed();
 
     // One control connection for the final server-side numbers.

@@ -346,6 +346,7 @@ mod tests {
     use super::*;
     use crate::store::StoreConfig;
     use fasea_core::{ConflictGraph, ContextMatrix};
+    use fasea_store::TempDir;
 
     fn view<'a>(
         contexts: &'a ContextMatrix,
@@ -380,13 +381,6 @@ mod tests {
         picks
     }
 
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("fasea-models-policy-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
     #[test]
     fn schedule_is_deterministic_and_in_range() {
         let s = UserSchedule::new(0xDEAD, 17);
@@ -400,7 +394,7 @@ mod tests {
     #[test]
     fn personalized_ucb_budget_runs_match_unbounded_bit_for_bit() {
         let one = fasea_bandit::RidgeEstimator::new(3, 1.0).state_bytes();
-        let dir = temp_dir("ucb-parity");
+        let dir = TempDir::new("models-policy-ucb-parity");
         let schedule = UserSchedule::new(99, 11);
         let mut tiny = PersonalizedUcb::new(
             EstimatorStore::new(StoreConfig::bounded(3, 1.0, 2 * one, 1200, &dir)).unwrap(),
@@ -417,13 +411,12 @@ mod tests {
         assert_eq!(picks_tiny, picks_unbounded, "arrangements diverged");
         assert!(tiny.store().stats().demotions > 0, "budget never bound");
         assert_eq!(tiny.save_state(), unbounded.save_state());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn personalized_ts_budget_runs_match_unbounded_bit_for_bit() {
         let one = fasea_bandit::RidgeEstimator::new(3, 1.0).state_bytes();
-        let dir = temp_dir("ts-parity");
+        let dir = TempDir::new("models-policy-ts-parity");
         let schedule = UserSchedule::new(7, 9);
         let mut tiny = PersonalizedTs::new(
             EstimatorStore::new(StoreConfig::bounded(3, 1.0, one, 300, &dir)).unwrap(),
@@ -443,7 +436,6 @@ mod tests {
         assert!(tiny.store().stats().evictions > 0, "warm tier never bound");
         assert_eq!(tiny.rng_digest(), unbounded.rng_digest());
         assert_eq!(tiny.save_state(), unbounded.save_state());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -455,17 +455,11 @@ impl SpillLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("fasea-models-spill-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
+    use fasea_store::TempDir;
 
     #[test]
     fn append_read_round_trip_survives_reopen() {
-        let dir = temp_dir("roundtrip");
+        let dir = TempDir::new("models-spill-roundtrip");
         {
             let mut log = SpillLog::open(&dir, 42).unwrap();
             log.append(KIND_USER_EXACT, 7, b"seven-v1").unwrap();
@@ -480,12 +474,11 @@ mod tests {
         assert_eq!(log.read(KIND_USER_EXACT, 9).unwrap().unwrap(), b"nine");
         assert_eq!(log.read(KIND_USER_EXACT, 8).unwrap(), None);
         assert_eq!(log.live_users(), 2);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn kinds_are_independent_namespaces() {
-        let dir = temp_dir("kinds");
+        let dir = TempDir::new("models-spill-kinds");
         {
             let mut log = SpillLog::open(&dir, 11).unwrap();
             log.append(KIND_USER_EXACT, 5, b"user-five").unwrap();
@@ -503,12 +496,11 @@ mod tests {
         assert_eq!(log.live_users(), 3);
         assert_eq!(log.live_keys_sorted(KIND_COHORT), vec![5]);
         assert!(log.live_keys_sorted(3).is_empty());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn batched_appends_commit_atomically_and_read_back() {
-        let dir = temp_dir("batch");
+        let dir = TempDir::new("models-spill-batch");
         let mut log = SpillLog::open(&dir, 9).unwrap();
         log.batch_begin();
         for k in 0..20u64 {
@@ -533,22 +525,20 @@ mod tests {
         log.batch_commit().unwrap();
         assert_eq!(log.live_bytes(), live_before);
         assert_eq!(log.read(KIND_USER_EXACT, 3).unwrap().unwrap(), [0xEE; 64]);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn empty_batch_commit_is_a_noop() {
-        let dir = temp_dir("emptybatch");
+        let dir = TempDir::new("models-spill-emptybatch");
         let mut log = SpillLog::open(&dir, 1).unwrap();
         log.batch_begin();
         log.batch_commit().unwrap();
         assert_eq!(log.file_bytes(), HEADER_LEN);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_tail_is_truncated_on_open() {
-        let dir = temp_dir("torn");
+        let dir = TempDir::new("models-spill-torn");
         let path;
         {
             let mut log = SpillLog::open(&dir, 1).unwrap();
@@ -569,23 +559,21 @@ mod tests {
         // The truncated log accepts new appends at the repaired tail.
         log.append(KIND_USER_EXACT, 3, b"gamma").unwrap();
         assert_eq!(log.read(KIND_USER_EXACT, 3).unwrap().unwrap(), b"gamma");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn foreign_fingerprint_refused() {
-        let dir = temp_dir("foreign");
+        let dir = TempDir::new("models-spill-foreign");
         drop(SpillLog::open(&dir, 5).unwrap());
         assert!(matches!(
             SpillLog::open(&dir, 6),
             Err(ModelsError::Spill(_))
         ));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn compaction_reclaims_dead_frames_and_commits_atomically() {
-        let dir = temp_dir("compact");
+        let dir = TempDir::new("models-spill-compact");
         let mut log = SpillLog::open(&dir, 3).unwrap();
         for round in 0..10u8 {
             for user in 0..8u64 {
@@ -612,15 +600,14 @@ mod tests {
             log.read(KIND_USER_EXACT, 4).unwrap().unwrap(),
             vec![9u8; 100]
         );
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn compacted_bytes_are_a_pure_function_of_live_state() {
         // Two logs that arrive at the same live state through different
         // append orders compact to byte-identical files.
-        let dir_a = temp_dir("pure-a");
-        let dir_b = temp_dir("pure-b");
+        let dir_a = TempDir::new("models-spill-pure-a");
+        let dir_b = TempDir::new("models-spill-pure-b");
         let mut a = SpillLog::open(&dir_a, 4).unwrap();
         let mut b = SpillLog::open(&dir_b, 4).unwrap();
         a.append(KIND_USER_EXACT, 1, b"one").unwrap();
@@ -635,13 +622,11 @@ mod tests {
         let bytes_a = fs::read(log_path(&dir_a, 1)).unwrap();
         let bytes_b = fs::read(log_path(&dir_b, 1)).unwrap();
         assert_eq!(bytes_a, bytes_b);
-        let _ = fs::remove_dir_all(&dir_a);
-        let _ = fs::remove_dir_all(&dir_b);
     }
 
     #[test]
     fn stale_tmp_from_crashed_compaction_is_removed() {
-        let dir = temp_dir("tmp");
+        let dir = TempDir::new("models-spill-tmp");
         {
             let mut log = SpillLog::open(&dir, 8).unwrap();
             log.append(KIND_USER_EXACT, 1, b"keep").unwrap();
@@ -651,12 +636,11 @@ mod tests {
         let log = SpillLog::open(&dir, 8).unwrap();
         assert_eq!(log.read(KIND_USER_EXACT, 1).unwrap().unwrap(), b"keep");
         assert!(!dir.join("spill-000001.log.tmp").exists());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn clear_starts_a_fresh_generation() {
-        let dir = temp_dir("clear");
+        let dir = TempDir::new("models-spill-clear");
         let mut log = SpillLog::open(&dir, 2).unwrap();
         log.append(KIND_USER_EXACT, 1, b"old").unwrap();
         log.clear().unwrap();
@@ -666,6 +650,5 @@ mod tests {
         drop(log);
         let log = SpillLog::open(&dir, 2).unwrap();
         assert_eq!(log.read(KIND_USER_EXACT, 1).unwrap().unwrap(), b"new");
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1243,13 +1243,7 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("fasea-models-store-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
+    use fasea_store::TempDir;
 
     fn context(user: u64, t: u64, dim: usize) -> Vec<f64> {
         (0..dim)
@@ -1336,7 +1330,7 @@ mod tests {
 
     #[test]
     fn budget_pressure_demotes_evicts_and_faults() {
-        let dir = temp_dir("pressure");
+        let dir = TempDir::new("models-store-pressure");
         let one = RidgeEstimator::new(4, 1.0).state_bytes();
         // Room for ~3 hot models and ~4 warm models.
         let cfg = StoreConfig::bounded(4, 1.0, 3 * one, 400, &dir);
@@ -1348,12 +1342,11 @@ mod tests {
         assert!(s.evictions > 0, "no evictions under pressure: {s:?}");
         assert!(s.faults > 0, "no fault-ins under pressure: {s:?}");
         assert_eq!(s.cold + s.hot + s.warm + s.spilled, s.users);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn budgeted_store_is_bit_equal_to_unbounded() {
-        let dir = temp_dir("parity");
+        let dir = TempDir::new("models-store-parity");
         let one = RidgeEstimator::new(3, 0.5).state_bytes();
         let mut tiny = EstimatorStore::new(StoreConfig::bounded(3, 0.5, one, one, &dir)).unwrap();
         let mut unbounded = EstimatorStore::new(StoreConfig::unbounded(3, 0.5)).unwrap();
@@ -1380,12 +1373,11 @@ mod tests {
                 .confidence_width(&x);
             assert_eq!(a.to_bits(), b.to_bits(), "user {u} width bits differ");
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn save_restore_round_trip_preserves_logical_state() {
-        let dir = temp_dir("snap");
+        let dir = TempDir::new("models-store-snap");
         let one = RidgeEstimator::new(3, 1.0).state_bytes();
         let mut store =
             EstimatorStore::new(StoreConfig::bounded(3, 1.0, 2 * one, 1024, &dir)).unwrap();
@@ -1393,7 +1385,7 @@ mod tests {
         let blob = store.save_state();
         let digest = store.state_digest();
 
-        let dir2 = temp_dir("snap2");
+        let dir2 = TempDir::new("models-store-snap2");
         let mut fresh =
             EstimatorStore::new(StoreConfig::bounded(3, 1.0, 2 * one, 1024, &dir2)).unwrap();
         fresh.restore_state(&blob).unwrap();
@@ -1405,13 +1397,11 @@ mod tests {
         assert_eq!(fresh.state_digest(), store.state_digest());
         // Garbage is rejected.
         assert!(fresh.restore_state(b"junk").is_err());
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&dir2);
     }
 
     #[test]
     fn approx_reads_never_fault() {
-        let dir = temp_dir("approx");
+        let dir = TempDir::new("models-store-approx");
         let one = RidgeEstimator::new(3, 1.0).state_bytes();
         let mut store = EstimatorStore::new(StoreConfig::bounded(3, 1.0, one, 700, &dir)).unwrap();
         drive(&mut store, 6, 120);
@@ -1426,12 +1416,11 @@ mod tests {
         }
         assert!(answered > 0, "warm/hot slots must answer approximate reads");
         assert_eq!(store.stats().faults, faults_before, "approx reads faulted");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn clean_redemotion_skips_spill_append() {
-        let dir = temp_dir("clean");
+        let dir = TempDir::new("models-store-clean");
         let one = RidgeEstimator::new(2, 1.0).state_bytes();
         let mut store =
             EstimatorStore::new(StoreConfig::bounded(2, 1.0, one, usize::MAX, &dir)).unwrap();
@@ -1467,7 +1456,6 @@ mod tests {
             "clean fault-ins were re-spilled"
         );
         assert!(store.stats().faults > 10);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1475,8 +1463,8 @@ mod tests {
         // fold_obs = 0: cohort priors never train, so every access path
         // reduces to the flat global prior — including the save blob
         // (section counts are always written).
-        let dir_flat = temp_dir("k0-flat");
-        let dir_coh = temp_dir("k0-coh");
+        let dir_flat = TempDir::new("models-store-k0-flat");
+        let dir_coh = TempDir::new("models-store-k0-coh");
         let one = RidgeEstimator::new(3, 1.0).state_bytes();
         let mut flat =
             EstimatorStore::new(StoreConfig::bounded(3, 1.0, 2 * one, 512, &dir_flat)).unwrap();
@@ -1491,8 +1479,6 @@ mod tests {
         assert_eq!(s.cohort_hits, 0);
         assert_eq!(s.cohort_folds, 0);
         assert_eq!(s.cohorts_materialized, 0);
-        let _ = std::fs::remove_dir_all(&dir_flat);
-        let _ = std::fs::remove_dir_all(&dir_coh);
     }
 
     #[test]
@@ -1542,7 +1528,7 @@ mod tests {
 
     #[test]
     fn cohort_budgeted_store_is_bit_equal_to_unbounded() {
-        let dir = temp_dir("coh-parity");
+        let dir = TempDir::new("models-store-coh-parity");
         let one = RidgeEstimator::new(3, 0.5).state_bytes();
         let cfg_tiny = StoreConfig::bounded(3, 0.5, one, one, &dir).with_cohorts(4, 0xBEEF, 3);
         let cfg_unb = StoreConfig::unbounded(3, 0.5).with_cohorts(4, 0xBEEF, 3);
@@ -1557,12 +1543,11 @@ mod tests {
         );
         assert_eq!(tiny.save_state(), unbounded.save_state());
         assert_eq!(tiny.state_digest(), unbounded.state_digest());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn sketched_demotion_round_trips_sketch_rows_and_b() {
-        let dir = temp_dir("sketched");
+        let dir = TempDir::new("models-store-sketched");
         let one = RidgeEstimator::new(4, 1.0).state_bytes();
         let cfg = StoreConfig::bounded(4, 1.0, 2 * one, 512, &dir).with_sketched(2);
         let mut store = EstimatorStore::new(cfg).unwrap();
@@ -1574,7 +1559,7 @@ mod tests {
         // saving, restoring into a fresh store, and saving again is a
         // byte-identical round trip.
         let blob = store.save_state();
-        let dir2 = temp_dir("sketched2");
+        let dir2 = TempDir::new("models-store-sketched2");
         let cfg2 = StoreConfig::bounded(4, 1.0, 2 * one, 512, &dir2).with_sketched(2);
         let mut fresh = EstimatorStore::new(cfg2).unwrap();
         fresh.restore_state(&blob).unwrap();
@@ -1585,8 +1570,6 @@ mod tests {
             store.estimator_for_observe(h, 9999),
             Err(ModelsError::Config(_))
         ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&dir2);
     }
 
     #[test]
@@ -1595,8 +1578,8 @@ mod tests {
         // SketchWarm (2d codes) instead of the quantized triangle.
         let dim = 16;
         let one = RidgeEstimator::new(dim, 1.0).state_bytes();
-        let dir_e = temp_dir("warmsz-e");
-        let dir_s = temp_dir("warmsz-s");
+        let dir_e = TempDir::new("models-store-warmsz-e");
+        let dir_s = TempDir::new("models-store-warmsz-s");
         let mut exact =
             EstimatorStore::new(StoreConfig::bounded(dim, 1.0, one, usize::MAX, &dir_e)).unwrap();
         let mut sketched = EstimatorStore::new(
@@ -1613,8 +1596,6 @@ mod tests {
             ws.warm_bytes,
             we.warm_bytes
         );
-        let _ = std::fs::remove_dir_all(&dir_e);
-        let _ = std::fs::remove_dir_all(&dir_s);
     }
 
     #[test]
@@ -1623,7 +1604,7 @@ mod tests {
         // order must fall back to handle order, and two identical runs
         // must produce byte-identical state and stats.
         fn run() -> (Vec<u8>, StoreStats, u64) {
-            let dir = temp_dir("tiebreak");
+            let dir = TempDir::new("models-store-tiebreak");
             let one = RidgeEstimator::new(2, 1.0).state_bytes();
             let mut store =
                 EstimatorStore::new(StoreConfig::bounded(2, 1.0, 2 * one, 300, &dir)).unwrap();
@@ -1639,7 +1620,6 @@ mod tests {
             let s = store.stats();
             let blob = store.save_state();
             let digest = store.state_digest();
-            let _ = std::fs::remove_dir_all(&dir);
             (blob, s, digest)
         }
         let (blob_a, stats_a, digest_a) = run();
@@ -1656,7 +1636,7 @@ mod tests {
         // spill log's compaction floor (1 MiB of garbage) while faults
         // keep promoting records back — parity with an unbounded twin
         // must survive the generation switch.
-        let dir = temp_dir("compact-fault");
+        let dir = TempDir::new("models-store-compact-fault");
         let one = RidgeEstimator::new(8, 1.0).state_bytes();
         let mut tiny = EstimatorStore::new(StoreConfig::bounded(8, 1.0, one, 600, &dir)).unwrap();
         let mut unbounded = EstimatorStore::new(StoreConfig::unbounded(8, 1.0)).unwrap();
@@ -1669,12 +1649,11 @@ mod tests {
         );
         assert!(s.faults > 0);
         assert_eq!(tiny.save_state(), unbounded.save_state());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn spill_survives_reopen_via_same_config() {
-        let dir = temp_dir("reopen");
+        let dir = TempDir::new("models-store-reopen");
         let one = RidgeEstimator::new(2, 1.0).state_bytes();
         let cfg = StoreConfig::bounded(2, 1.0, one, one, &dir);
         let digest;
@@ -1691,6 +1670,5 @@ mod tests {
         let store = EstimatorStore::new(cfg).unwrap();
         assert!(store.stats().spill_live_bytes > 0);
         let _ = digest;
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -30,6 +30,7 @@
 //!   exact rep and carry no pool).
 
 use fasea_models::{EstimatorStore, StoreConfig, UserId};
+use fasea_store::TempDir;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -92,8 +93,7 @@ fn context(t: u64, x: &mut [f64]) {
 
 #[test]
 fn steady_state_demotion_sweeps_are_allocation_free() {
-    let dir = std::env::temp_dir().join(format!("fasea-demote-alloc-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("demote-alloc");
 
     // A hot budget that holds a handful of d=8 exact models and a
     // working set a few times larger, so every round-robin pass faults
@@ -163,7 +163,6 @@ fn steady_state_demotion_sweeps_are_allocation_free() {
     assert_eq!(store.stats().spill_compactions, 0, "fixture compacted");
 
     drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

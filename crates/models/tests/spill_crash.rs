@@ -23,14 +23,9 @@
 
 use fasea_models::spill::{KIND_COHORT, KIND_USER_EXACT, KIND_USER_SKETCH};
 use fasea_models::{EstimatorStore, SpillLog, StoreConfig, UserId};
+use fasea_store::TempDir;
 use std::fs;
 use std::path::{Path, PathBuf};
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fasea-spill-crash-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
-}
 
 /// The single generation-0 log file a freshly opened dir contains.
 fn log_file(dir: &Path) -> PathBuf {
@@ -38,9 +33,8 @@ fn log_file(dir: &Path) -> PathBuf {
 }
 
 /// Copies `src`'s log file into a fresh dir, truncated to `len` bytes.
-fn cut_copy(src: &Path, tag: &str, len: u64) -> PathBuf {
-    let dst = temp_dir(tag);
-    fs::create_dir_all(&dst).unwrap();
+fn cut_copy(src: &Path, tag: &str, len: u64) -> TempDir {
+    let dst = TempDir::new(&format!("spill-crash-{tag}"));
     let bytes = fs::read(log_file(src)).unwrap();
     let keep = bytes.len().min(len as usize);
     fs::write(log_file(&dst), &bytes[..keep]).unwrap();
@@ -49,7 +43,7 @@ fn cut_copy(src: &Path, tag: &str, len: u64) -> PathBuf {
 
 #[test]
 fn kill_matrix_over_mixed_kind_frames() {
-    let dir = temp_dir("matrix");
+    let dir = TempDir::new("spill-crash-matrix");
     // (kind, key, payload) in an order that interleaves all three
     // tags, including a same-key overwrite whose survival depends on
     // where the cut lands.
@@ -122,9 +116,7 @@ fn kill_matrix_over_mixed_kind_frames() {
             log.read(KIND_USER_SKETCH, 99).unwrap().unwrap(),
             b"post-crash"
         );
-        let _ = fs::remove_dir_all(&copy);
     }
-    let _ = fs::remove_dir_all(&dir);
 }
 
 fn probe(store: &mut EstimatorStore, users: u64, dim: usize) -> Vec<u64> {
@@ -145,7 +137,7 @@ fn probe(store: &mut EstimatorStore, users: u64, dim: usize) -> Vec<u64> {
 fn run_cut_invariance(tag: &str, sketched: bool) {
     let dim = 8;
     let users = 64u64;
-    let dir = temp_dir(tag);
+    let dir = TempDir::new(&format!("spill-crash-{tag}"));
     let mut config =
         StoreConfig::bounded(dim, 1.0, 24 << 10, 1 << 20, &dir).with_cohorts(4, 0xC0_FFEE, 2);
     if sketched {
@@ -191,7 +183,7 @@ fn run_cut_invariance(tag: &str, sketched: bool) {
     let control_dir = cut_copy(&dir, &format!("{tag}-control"), synced_len);
     let (expected_cold, expected_restored, expected_digest) = {
         let mut cfg = reopen_config.clone();
-        cfg.spill_dir = Some(control_dir.clone());
+        cfg.spill_dir = Some(control_dir.to_path_buf());
         let mut control_store = EstimatorStore::new(cfg).unwrap();
         assert!(
             control_store.stats().cohorts_materialized > 0,
@@ -216,7 +208,7 @@ fn run_cut_invariance(tag: &str, sketched: bool) {
     {
         let copy = cut_copy(&dir, &format!("{tag}-cut{i}"), cut);
         let mut cfg = reopen_config.clone();
-        cfg.spill_dir = Some(copy.clone());
+        cfg.spill_dir = Some(copy.to_path_buf());
         let mut store = EstimatorStore::new(cfg).unwrap();
         assert!(
             store.stats().cohorts_materialized > 0,
@@ -261,10 +253,7 @@ fn run_cut_invariance(tag: &str, sketched: bool) {
             );
         }
         drop(store);
-        let _ = fs::remove_dir_all(&copy);
     }
-    let _ = fs::remove_dir_all(&control_dir);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]

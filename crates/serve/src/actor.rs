@@ -320,17 +320,16 @@ impl ServiceActor {
     ) -> Self {
         let svc = svc.into();
         let acks = Arc::new(AckQueue::new());
-        if svc.group_commit_enabled() {
-            let for_notifier = Arc::clone(&acks);
-            svc.set_commit_notifier(Some(Arc::new(move |durable| {
-                for_notifier.flush(durable);
-            })));
-            let for_observer = Arc::clone(&metrics);
-            svc.set_commit_observer(Some(Arc::new(move |batch, latency| {
-                for_observer.fsync_batch_size.observe_value(batch as u64);
-                for_observer.commit_latency_us.observe(latency);
-            })));
-        }
+        // Both hooks are no-ops without group commit.
+        let for_notifier = Arc::clone(&acks);
+        svc.set_commit_notifier(Some(Arc::new(move |durable| {
+            for_notifier.flush(durable);
+        })));
+        let for_observer = Arc::clone(&metrics);
+        svc.set_commit_observer(Some(Arc::new(move |batch, latency| {
+            for_observer.fsync_batch_size.observe_value(batch as u64);
+            for_observer.commit_latency_us.observe(latency);
+        })));
         ServiceActor {
             svc,
             rx,
@@ -724,36 +723,16 @@ impl ServiceActor {
     fn execute_propose(&mut self, user: UserArrival, reply: Sender<Response>) {
         let t = self.svc.rounds_completed();
         let started = Instant::now();
-        if self.svc.group_commit_enabled() {
-            match self.svc.propose_deferred(&user) {
-                Ok((arrangement, _lsn)) => {
-                    self.metrics.propose_us.observe(started.elapsed());
-                    self.metrics.proposes.incr();
-                    self.svc.drain_shard_metrics(&self.metrics);
-                    self.drain_prefetch_metrics();
-                    // Replied immediately: compute-then-log makes an
-                    // undurable Propose harmless (recovery re-draws it
-                    // identically), and its LSN precedes the feedback
-                    // LSN this round's completion ack will wait on.
-                    let _ = reply.send(Response::Proposed {
-                        t,
-                        arrangement: arrangement
-                            .events()
-                            .iter()
-                            .map(|v| v.index() as u32)
-                            .collect(),
-                    });
-                }
-                Err(err) => self.reply_service_error(err, &reply),
-            }
-            return;
-        }
-        match self.svc.propose(&user) {
-            Ok(arrangement) => {
+        match self.svc.propose_deferred(&user) {
+            Ok((arrangement, _lsn)) => {
                 self.metrics.propose_us.observe(started.elapsed());
                 self.metrics.proposes.incr();
                 self.svc.drain_shard_metrics(&self.metrics);
                 self.drain_prefetch_metrics();
+                // Replied immediately: compute-then-log makes an
+                // undurable Propose harmless (recovery re-draws it
+                // identically), and its LSN precedes the feedback LSN
+                // this round's completion ack will wait on.
                 let _ = reply.send(Response::Proposed {
                     t,
                     arrangement: arrangement
@@ -848,34 +827,20 @@ impl ServiceActor {
         }
         let t = self.svc.rounds_completed();
         let started = Instant::now();
-        if self.svc.group_commit_enabled() {
-            match self.svc.feedback_deferred(accepts) {
-                Ok((reward, lsn)) => {
-                    self.metrics.feedback_us.observe(started.elapsed());
-                    self.metrics.feedbacks.incr();
-                    self.svc.drain_shard_metrics(&self.metrics);
-                    self.drain_model_tier_metrics();
-                    // The round is complete in memory: retire its grant
-                    // *now* so the next round proceeds while this
-                    // round's records are still being fsynced — the
-                    // pipelining that lets N sessions share one fsync.
-                    self.grants.pop_front();
-                    self.defer_ack(lsn, reply, Response::FeedbackOk { t, reward });
-                    self.maybe_snapshot();
-                    self.promote_buffered();
-                }
-                Err(err) => self.reply_service_error(err, &reply),
-            }
-            return;
-        }
-        match self.svc.feedback(accepts) {
-            Ok(reward) => {
+        match self.svc.feedback_deferred(accepts) {
+            Ok((reward, lsn)) => {
                 self.metrics.feedback_us.observe(started.elapsed());
                 self.metrics.feedbacks.incr();
                 self.svc.drain_shard_metrics(&self.metrics);
                 self.drain_model_tier_metrics();
+                // The round is complete in memory: retire its grant
+                // *now* so the next round proceeds while this round's
+                // records are still being fsynced — the pipelining that
+                // lets N sessions share one fsync. Without group commit
+                // the record is already durable and the ack goes out at
+                // once.
                 self.grants.pop_front();
-                let _ = reply.send(Response::FeedbackOk { t, reward });
+                self.defer_ack(lsn, reply, Response::FeedbackOk { t, reward });
                 self.maybe_snapshot();
                 self.promote_buffered();
             }
@@ -926,16 +891,8 @@ mod tests {
     use fasea_bandit::LinUcb;
     use fasea_core::ProblemInstance;
     use fasea_sim::{DurableArrangementService, DurableOptions};
-    use fasea_store::FsyncPolicy;
+    use fasea_store::{FsyncPolicy, TempDir};
     use std::sync::mpsc;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("fasea-serve-actor-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     fn spawn_actor(
         tag: &str,
@@ -956,7 +913,7 @@ mod tests {
         Arc<AtomicBool>,
         std::thread::JoinHandle<CloseReport>,
     ) {
-        let dir = temp_dir(tag);
+        let dir = TempDir::new(&format!("serve-actor-{tag}"));
         let instance = ProblemInstance::basic(4, 2);
         let svc = DurableArrangementService::open(
             &dir,
@@ -978,7 +935,11 @@ mod tests {
             None,
             fasea_core::ChurnSchedule::none(),
         );
-        let handle = std::thread::spawn(move || actor.run());
+        let handle = std::thread::spawn(move || {
+            let report = actor.run();
+            drop(dir);
+            report
+        });
         (tx, shutdown, handle)
     }
 

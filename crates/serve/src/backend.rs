@@ -1,19 +1,20 @@
 //! The actor's service backend: a single-actor
 //! [`DurableArrangementService`] or a sharded
-//! [`ShardedArrangementService`], behind one delegating enum.
+//! [`ShardedArrangementService`], behind one enum that dereferences to
+//! the durable service.
 //!
-//! The two services expose the same surface by design (the sharded one
-//! is byte-identical to the single-actor one — see `fasea-shard`), so
-//! the actor state machine is written once against [`BackendService`]
-//! and the only sharding-aware code in this crate is the metrics drain
-//! in [`BackendService::drain_shard_metrics`].
+//! The sharded service is a durable service with its shards plugged in
+//! as the commit participant and the routing oracle (see
+//! `fasea-shard`), so the actor state machine is written once against
+//! [`DurableArrangementService`] and the only sharding-aware code in
+//! this crate is the metrics drain in
+//! [`BackendService::drain_shard_metrics`].
 
+use std::ops::{Deref, DerefMut};
 use std::path::PathBuf;
 
-use fasea_core::{Arrangement, UserArrival};
 use fasea_shard::ShardedArrangementService;
-use fasea_sim::{ArrangementService, DurableArrangementService, ServiceError, ServiceHealth};
-use fasea_store::{CommitNotifier, CommitObserver};
+use fasea_sim::{DurableArrangementService, ServiceError};
 
 use crate::metrics::Metrics;
 
@@ -38,13 +39,24 @@ impl From<ShardedArrangementService> for BackendService {
     }
 }
 
-macro_rules! delegate {
-    ($self:ident . $method:ident ( $($arg:expr),* )) => {
-        match $self {
-            BackendService::Single(s) => s.$method($($arg),*),
-            BackendService::Sharded(s) => s.$method($($arg),*),
+impl Deref for BackendService {
+    type Target = DurableArrangementService;
+
+    fn deref(&self) -> &DurableArrangementService {
+        match self {
+            BackendService::Single(s) => s,
+            BackendService::Sharded(s) => s,
         }
-    };
+    }
+}
+
+impl DerefMut for BackendService {
+    fn deref_mut(&mut self) -> &mut DurableArrangementService {
+        match self {
+            BackendService::Single(s) => s,
+            BackendService::Sharded(s) => s,
+        }
+    }
 }
 
 impl BackendService {
@@ -74,88 +86,6 @@ impl BackendService {
         }
     }
 
-    /// See [`DurableArrangementService::propose`].
-    pub fn propose(&mut self, user: &UserArrival) -> Result<Arrangement, ServiceError> {
-        delegate!(self.propose(user))
-    }
-
-    /// See [`DurableArrangementService::propose_deferred`].
-    pub fn propose_deferred(
-        &mut self,
-        user: &UserArrival,
-    ) -> Result<(Arrangement, u64), ServiceError> {
-        delegate!(self.propose_deferred(user))
-    }
-
-    /// See [`DurableArrangementService::feedback`].
-    pub fn feedback(&mut self, accepted: &[bool]) -> Result<u32, ServiceError> {
-        delegate!(self.feedback(accepted))
-    }
-
-    /// See [`DurableArrangementService::feedback_deferred`].
-    pub fn feedback_deferred(&mut self, accepted: &[bool]) -> Result<(u32, u64), ServiceError> {
-        delegate!(self.feedback_deferred(accepted))
-    }
-
-    /// See [`DurableArrangementService::lifecycle`] — an event capacity
-    /// re-plan, fanned out to the owning shard on the sharded backend.
-    pub fn lifecycle(&mut self, event: u32, capacity: u32) -> Result<u32, ServiceError> {
-        delegate!(self.lifecycle(event, capacity))
-    }
-
-    /// See [`DurableArrangementService::sync`].
-    pub fn sync(&mut self) -> Result<(), ServiceError> {
-        delegate!(self.sync())
-    }
-
-    /// See [`DurableArrangementService::snapshot_async`].
-    pub fn snapshot_async(&mut self) -> Result<(), ServiceError> {
-        delegate!(self.snapshot_async())
-    }
-
-    /// See [`DurableArrangementService::durable_lsn`].
-    pub fn durable_lsn(&self) -> u64 {
-        delegate!(self.durable_lsn())
-    }
-
-    /// See [`DurableArrangementService::group_commit_enabled`].
-    pub fn group_commit_enabled(&self) -> bool {
-        delegate!(self.group_commit_enabled())
-    }
-
-    /// See [`DurableArrangementService::set_commit_observer`].
-    pub fn set_commit_observer(&self, observer: Option<CommitObserver>) {
-        delegate!(self.set_commit_observer(observer))
-    }
-
-    /// See [`DurableArrangementService::set_commit_notifier`].
-    pub fn set_commit_notifier(&self, notifier: Option<CommitNotifier>) {
-        delegate!(self.set_commit_notifier(notifier))
-    }
-
-    /// See [`DurableArrangementService::service`].
-    pub fn service(&self) -> &ArrangementService {
-        delegate!(self.service())
-    }
-
-    /// See [`DurableArrangementService::prefetch_scores`] — legal on
-    /// both backends (sharded scoring stays on the coordinator), writes
-    /// nothing to any WAL.
-    pub fn prefetch_scores(&mut self, t: u64, user: &UserArrival) -> Result<(), ServiceError> {
-        delegate!(self.prefetch_scores(t, user))
-    }
-
-    /// See [`DurableArrangementService::model_epoch`].
-    pub fn model_epoch(&self) -> u64 {
-        delegate!(self.model_epoch())
-    }
-
-    /// See [`DurableArrangementService::clear_prefetch`] — invalidates
-    /// any speculative stash whose buffered proposal was dropped.
-    pub fn clear_prefetch(&mut self) {
-        delegate!(self.clear_prefetch())
-    }
-
     /// Cumulative prefetch hit/recompute counters of the policy
     /// workspace (the actor drains deltas into its metrics).
     pub fn prefetch_stats(&self) -> fasea_bandit::PrefetchStats {
@@ -170,23 +100,15 @@ impl BackendService {
         self.service().policy().workspace().model_tier_stats()
     }
 
-    /// See [`DurableArrangementService::pending_arrangement`].
-    pub fn pending_arrangement(&self) -> Option<&Arrangement> {
-        delegate!(self.pending_arrangement())
-    }
-
-    /// See [`DurableArrangementService::rounds_completed`].
-    pub fn rounds_completed(&self) -> u64 {
-        delegate!(self.rounds_completed())
-    }
-
-    /// See [`DurableArrangementService::health`].
-    pub fn health(&self) -> ServiceHealth {
-        delegate!(self.health())
-    }
-
-    /// See [`DurableArrangementService::close`].
+    /// Closes the backend: shards first, then the coordinator (see
+    /// [`DurableArrangementService::close`]).
+    ///
+    /// # Errors
+    /// As [`DurableArrangementService::close`].
     pub fn close(self) -> Result<Option<PathBuf>, ServiceError> {
-        delegate!(self.close())
+        match self {
+            BackendService::Single(s) => s.close(),
+            BackendService::Sharded(s) => s.close(),
+        }
     }
 }

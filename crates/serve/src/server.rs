@@ -1,7 +1,7 @@
 //! The TCP server: a listener + worker thread pool in front of the
 //! service actor.
 //!
-//! Thread layout (all inside one `crossbeam::thread::scope`, itself
+//! Thread layout (all inside one `std::thread::scope`, itself
 //! inside a single owning `std::thread`):
 //!
 //! ```text
@@ -264,8 +264,8 @@ fn run_server(
     let queue = ConnQueue::new(config.conn_backlog);
     let conn_ids = AtomicU64::new(1);
 
-    let close = crossbeam::thread::scope(|s| {
-        let actor_handle = s.spawn(|_| actor.run());
+    let close = std::thread::scope(|s| {
+        let actor_handle = s.spawn(|| actor.run());
         for _ in 0..config.workers.max(1) {
             let cmd_tx = cmd_tx.clone();
             let queue = &queue;
@@ -273,7 +273,7 @@ fn run_server(
             let config = &config;
             let metrics = &metrics;
             let shutdown = &shutdown;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 while let Some(stream) = queue.pop() {
                     let conn = conn_ids.fetch_add(1, Ordering::Relaxed);
                     serve_connection(stream, conn, &cmd_tx, config, metrics, shutdown);
@@ -309,8 +309,7 @@ fn run_server(
         queue.close();
         drop(cmd_tx);
         actor_handle.join().expect("actor thread panicked")
-    })
-    .expect("server scope panicked");
+    });
     ServeReport { close }
 }
 

@@ -20,7 +20,7 @@ use fasea_serve::{
     Request, Response, ServeClient, Server, ServerConfig, ServerHandle,
 };
 use fasea_sim::{DurableArrangementService, DurableOptions};
-use fasea_store::{parse_raw_frame, write_raw_frame, FrameParse, FsyncPolicy};
+use fasea_store::{parse_raw_frame, write_raw_frame, FrameParse, FsyncPolicy, TempDir};
 
 const DIM: usize = 3;
 
@@ -43,10 +43,8 @@ fn await_live_score_workers(want: usize) -> usize {
     }
 }
 
-fn start_server(tag: &str) -> (ServerHandle, std::path::PathBuf) {
-    let dir = std::env::temp_dir().join(format!("fasea-serve-robust-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+fn start_server(tag: &str) -> (ServerHandle, TempDir) {
+    let dir = TempDir::new(&format!("serve-robust-{tag}"));
     let svc = DurableArrangementService::open(
         &dir,
         ProblemInstance::basic(6, DIM),
@@ -147,7 +145,7 @@ impl XorShift {
 
 #[test]
 fn hostile_streams_get_typed_errors_or_clean_close() {
-    let (handle, dir) = start_server("hostile");
+    let (handle, _dir) = start_server("hostile");
 
     // The server's score pool is alive: SCORE_THREADS - 1 workers (the
     // actor thread itself is the pool's remaining scoring lane).
@@ -286,7 +284,6 @@ fn hostile_streams_get_typed_errors_or_clean_close() {
         0,
         "drain left score pool workers running"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A group-commit server must serve rounds with deferred acks, surface
@@ -296,9 +293,7 @@ fn hostile_streams_get_typed_errors_or_clean_close() {
 /// creates them, so the process-wide liveness counters are ours).
 #[test]
 fn group_commit_server_defers_acks_and_drains_cleanly() {
-    let dir = std::env::temp_dir().join(format!("fasea-serve-robust-gc-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("serve-robust-gc");
     let svc = DurableArrangementService::open(
         &dir,
         ProblemInstance::basic(6, DIM),
@@ -390,7 +385,6 @@ fn group_commit_server_defers_acks_and_drains_cleanly() {
     .unwrap();
     assert_eq!(reopened.rounds_completed(), ROUNDS);
     drop(reopened);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Decoder-level fuzzing, no sockets: random mutations of valid

@@ -1,12 +1,12 @@
-//! The coordinator-side [`Arranger`]: fans Oracle-Greedy's top-k
-//! ranking out over the shard actors.
+//! The coordinator's routing [`Oracle`]: fans the configured oracle's
+//! top-k ranking out over the shard actors.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-use fasea_bandit::{Arranger, Oracle, OracleWorkspace, SelectionView};
-use fasea_core::Arrangement;
+use fasea_bandit::{Oracle, OracleWorkspace};
+use fasea_core::{Arrangement, ConflictGraph};
 
 use crate::actor::{Reply, Request, ShardChannel};
 
@@ -56,10 +56,11 @@ impl ShardTimings {
     }
 }
 
-/// Implements [`Arranger`] by staging the round's score vector where
-/// the shard actors can read it, then running the configured
-/// [`Oracle`]'s `arrange_gathered` with a gather callback that fans
-/// `TopK{k}` out to every shard and concatenates the answers.
+/// An [`Oracle`] that wraps the configured one: it stages the round's
+/// score vector where the shard actors can read it, then runs the
+/// wrapped oracle's `arrange_gathered` with a gather callback that fans
+/// `TopK{k}` out to every shard and concatenates the answers. Its name
+/// is the wrapped oracle's, since its arrangements are too.
 ///
 /// Installed in the coordinator policy's workspace, so the policy's
 /// scoring pass and every RNG draw happen exactly once on the
@@ -98,11 +99,17 @@ impl std::fmt::Debug for ShardRouter {
     }
 }
 
-impl Arranger for ShardRouter {
-    fn arrange(
+impl Oracle for ShardRouter {
+    fn name(&self) -> &'static str {
+        self.oracle.name()
+    }
+
+    fn arrange_into(
         &self,
         scores: &[f64],
-        view: &SelectionView<'_>,
+        conflicts: &ConflictGraph,
+        remaining: &[u32],
+        user_capacity: u32,
         ws: &mut OracleWorkspace,
         out: &mut Arrangement,
     ) {
@@ -114,9 +121,9 @@ impl Arranger for ShardRouter {
         }
         self.oracle.arrange_gathered(
             scores,
-            view.conflicts,
-            view.remaining,
-            view.user_capacity,
+            conflicts,
+            remaining,
+            user_capacity,
             ws,
             out,
             &mut |k, order| {

@@ -1,30 +1,31 @@
-//! The sharded coordinator: a [`DurableArrangementService`] front whose
+//! The sharded coordinator: a [`DurableArrangementService`] whose
 //! ranking fans out over shard actors and whose feedback commits
-//! cross-shard capacity decrements with a two-phase protocol.
+//! cross-shard capacity decrements with a two-phase protocol — both
+//! plugged into the service's own round, not wrapped around it.
 
+use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
-use fasea_bandit::{Arranger, Policy};
-use fasea_core::{Arrangement, ProblemInstance, UserArrival};
-use fasea_sim::{
-    ArrangementService, DurableArrangementService, DurableOptions, ServiceError, ServiceHealth,
-};
-use fasea_store::{CommitNotifier, CommitObserver};
+use fasea_bandit::Policy;
+use fasea_core::{Arrangement, ProblemInstance};
+use fasea_sim::{CommitParticipant, DurableArrangementService, DurableOptions, ServiceError};
+use fasea_store::StoreError;
 
 use crate::actor::{shard_fingerprint, Reply, Request, ShardChannel, ShardState};
 use crate::plan::ShardPlan;
 use crate::router::{ShardRouter, ShardTimings};
 
 /// A [`DurableArrangementService`] partitioned over N shard actors,
-/// with the identical surface and — by construction — the identical
-/// byte-for-byte behaviour.
+/// with the identical surface — it dereferences to the coordinator —
+/// and, by construction, the identical byte-for-byte behaviour.
 ///
 /// Layout under `dir`:
 ///
 /// ```text
-/// dir/coordinator/   the inner durable service: round WAL + snapshots
+/// dir/coordinator/   the coordinator durable service: round WAL + snapshots
 /// dir/shard-000/     shard 0's transaction log
 /// dir/shard-001/     …
 /// ```
@@ -35,21 +36,25 @@ use crate::router::{ShardRouter, ShardTimings};
 /// capacity counters of their members plus a transaction log. Two
 /// operations cross the boundary:
 ///
-/// * `propose` — the policy scores as usual; the installed
-///   [`ShardRouter`] replaces the local top-k ranking with a fan-out
-///   over the shards' [`fasea_bandit::subset_top_k`] answers, merged
-///   under the oracle's own comparator. Identical arrangements to the
-///   single-actor service (merge theorem on the gathered form of
-///   [`fasea_bandit::Oracle::arrange_gathered`]).
-/// * `feedback` — accepted events become per-shard write sets. Phase 1
-///   sends `Prepare{txn = round, decs}` to the involved shards in
-///   ascending shard order; each makes the prepare durable before
-///   acking. Only then does the coordinator append its `Feedback`
-///   record — *the* commit decision. Phase 2 fans `Commit{txn}` out in
-///   the same order. Recovery resolves an in-doubt prepare by asking
-///   whether the coordinator completed the round, then repairs any
-///   counter drift against the mirror — see
-///   [`crate::actor`]'s state-machine docs.
+/// * `propose` — the policy scores as usual; the installed routing
+///   oracle ([`ShardRouter`]) replaces the local top-k ranking with a
+///   fan-out over the shards' [`fasea_bandit::subset_top_k`] answers,
+///   merged under the configured oracle's own comparator. Identical
+///   arrangements to the single-actor service (merge theorem on the
+///   gathered form of [`fasea_bandit::Oracle::arrange_gathered`]).
+/// * `feedback` — the coordinator's [`CommitParticipant`] turns accepted
+///   events into per-shard write sets. Phase 1 sends
+///   `Prepare{txn = round, decs}` to the involved shards in ascending
+///   shard order; each makes the prepare durable before acking. Only
+///   then does the coordinator append its `Feedback` record — *the*
+///   commit decision. Phase 2 fans `Commit{txn}` out in the same order.
+///   Recovery resolves an in-doubt prepare by asking whether the
+///   coordinator completed the round, then repairs any counter drift
+///   against the mirror — see [`crate::actor`]'s state-machine docs.
+///
+/// Because the two-phase commit runs inside the coordinator's own
+/// `feedback`, `lifecycle`, `sync` and `close`, every call through the
+/// [`Deref`]/[`DerefMut`] coordinator takes part in it.
 ///
 /// Both orders (shard assignment and commit fan-out) are pure
 /// functions of the instance and the round, which is the determinism
@@ -58,10 +63,9 @@ use crate::router::{ShardRouter, ShardTimings};
 /// single-actor run's.
 pub struct ShardedArrangementService {
     inner: DurableArrangementService,
-    plan: ShardPlan,
+    plan: Arc<ShardPlan>,
     channels: Arc<Vec<ShardChannel>>,
     timings: Arc<ShardTimings>,
-    joins: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ShardedArrangementService {
@@ -69,7 +73,8 @@ impl ShardedArrangementService {
     /// opens and replays every shard log, resolves in-doubt
     /// transactions against the coordinator's round counter, repairs
     /// counter drift against the capacity mirror, then spawns the
-    /// shard actors and installs the routing arranger.
+    /// shard actors and installs the commit participant and the
+    /// routing oracle.
     ///
     /// # Errors
     /// Everything [`DurableArrangementService::open`] can return, plus
@@ -82,11 +87,11 @@ impl ShardedArrangementService {
         num_shards: usize,
     ) -> Result<Self, ServiceError> {
         assert!(num_shards >= 1, "at least one shard");
-        let plan = ShardPlan::build(instance.conflicts(), num_shards);
+        let plan = Arc::new(ShardPlan::build(instance.conflicts(), num_shards));
         let capacities = instance.capacities().to_vec();
         // Same oracle the coordinator installs for replay: the router
-        // reuses it so the sharded selection matches the local one
-        // bit for bit.
+        // wraps it so the sharded selection matches the local one bit
+        // for bit.
         let oracle = options.oracle.build();
         let mut inner =
             DurableArrangementService::open(&dir.join("coordinator"), instance, policy, options)?;
@@ -137,182 +142,21 @@ impl ShardedArrangementService {
             Arc::clone(&timings),
             oracle,
         ));
-        // Installed *after* open: recovery replay ran the local oracle,
-        // which produces identical arrangements by the arranger
-        // contract, so the replay cross-check cannot diverge.
-        inner.install_arranger(Some(router as Arc<dyn Arranger>));
+        let commit = ShardCommit {
+            plan: Arc::clone(&plan),
+            channels: Arc::clone(&channels),
+            timings: Arc::clone(&timings),
+            joins,
+            staged: None,
+        };
+        inner.install_participant(Box::new(commit), router);
 
         Ok(ShardedArrangementService {
             inner,
             plan,
             channels,
             timings,
-            joins,
         })
-    }
-
-    /// Proposes an arrangement for `user` — the policy runs on the
-    /// coordinator, the ranking fans out over the shards.
-    pub fn propose(&mut self, user: &UserArrival) -> Result<Arrangement, ServiceError> {
-        self.inner.propose(user)
-    }
-
-    /// [`DurableArrangementService::propose_deferred`] over the
-    /// sharded ranking.
-    pub fn propose_deferred(
-        &mut self,
-        user: &UserArrival,
-    ) -> Result<(Arrangement, u64), ServiceError> {
-        self.inner.propose_deferred(user)
-    }
-
-    /// Applies feedback with the cross-shard two-phase commit, waiting
-    /// for the coordinator record's durability (blocking form).
-    pub fn feedback(&mut self, accepted: &[bool]) -> Result<u32, ServiceError> {
-        let staged = self.stage_commit(accepted)?;
-        let result = self.inner.feedback(accepted);
-        self.finish_commit(staged, result.is_ok())?;
-        result
-    }
-
-    /// Applies feedback with the cross-shard two-phase commit,
-    /// returning the coordinator LSN to gate acknowledgements on
-    /// (group-commit form).
-    pub fn feedback_deferred(&mut self, accepted: &[bool]) -> Result<(u32, u64), ServiceError> {
-        let staged = self.stage_commit(accepted)?;
-        let result = self.inner.feedback_deferred(accepted);
-        self.finish_commit(staged, result.is_ok())?;
-        result
-    }
-
-    /// Event lifecycle re-plan ([`DurableArrangementService::lifecycle`])
-    /// fanned out to the owning shard.
-    ///
-    /// The coordinator's `Lifecycle` record is the decision: it is
-    /// durable (and applied to the capacity mirror) *before* the owning
-    /// shard logs and installs its own copy. A crash in between leaves
-    /// the shard's counter stale, which recovery's
-    /// reconciliation repairs from the mirror — a lost lower shows up
-    /// as drift-above, a lost raise as drift-below with no committed
-    /// round to explain it.
-    ///
-    /// Returns the installed remaining capacity (clamped to the planned
-    /// capacity), like the inner call.
-    pub fn lifecycle(&mut self, event: u32, capacity: u32) -> Result<u32, ServiceError> {
-        let t = self.inner.rounds_completed();
-        let installed = self.inner.lifecycle(event, capacity)?;
-        let shard = self.plan.shard_of(event);
-        self.channels[shard].send(Request::Lifecycle {
-            t,
-            event,
-            capacity: installed,
-        });
-        match self.channels[shard].recv() {
-            Reply::Done(r) => r.map_err(ServiceError::Store)?,
-            other => panic!("shard answered Lifecycle with {other:?}"),
-        }
-        Ok(installed)
-    }
-
-    /// Phase 1: validates the feedback shape, builds the per-shard
-    /// write sets, and durably prepares them on every involved shard
-    /// (ascending shard order). Returns the staged transaction, or
-    /// `None` when no event was accepted (no shard involvement — the
-    /// round is coordinator-only).
-    fn stage_commit(
-        &mut self,
-        accepted: &[bool],
-    ) -> Result<Option<(u64, Vec<usize>, Instant)>, ServiceError> {
-        let pending = self
-            .inner
-            .pending_arrangement()
-            .ok_or(ServiceError::NoPendingProposal)?;
-        if pending.len() != accepted.len() {
-            return Err(ServiceError::FeedbackLengthMismatch {
-                expected: pending.len(),
-                got: accepted.len(),
-            });
-        }
-        let mut by_shard: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.plan.num_shards()];
-        for (slot, v) in pending.iter().enumerate() {
-            if accepted[slot] {
-                let event = v.index() as u32;
-                by_shard[self.plan.shard_of(event)].push((event, 1));
-            }
-        }
-        let involved: Vec<usize> = (0..by_shard.len())
-            .filter(|&s| !by_shard[s].is_empty())
-            .collect();
-        if involved.is_empty() {
-            return Ok(None);
-        }
-        let txn = self.inner.rounds_completed();
-        let started = Instant::now();
-        for &s in &involved {
-            // Arrangement order is the greedy visiting order; the
-            // write-set encoding wants ascending event ids.
-            by_shard[s].sort_unstable_by_key(|&(event, _)| event);
-            self.channels[s].send(Request::Prepare {
-                txn,
-                decs: std::mem::take(&mut by_shard[s]),
-            });
-        }
-        for &s in &involved {
-            self.channels[s].sample_depth();
-        }
-        let mut first_err = None;
-        for &s in &involved {
-            match self.channels[s].recv() {
-                Reply::Done(Ok(())) => {}
-                Reply::Done(Err(e)) => first_err = first_err.or(Some(e)),
-                other => panic!("shard answered Prepare with {other:?}"),
-            }
-        }
-        if let Some(e) = first_err {
-            // Best effort: unstage what did prepare, then surface the
-            // failure. Anything left in-doubt resolves on reopen.
-            self.abort_all(txn, &involved);
-            return Err(ServiceError::Store(e));
-        }
-        Ok(Some((txn, involved, started)))
-    }
-
-    /// Phase 2: fans `Commit` (or, when the coordinator's own append
-    /// failed, `Abort`) out to the involved shards in ascending order.
-    fn finish_commit(
-        &mut self,
-        staged: Option<(u64, Vec<usize>, Instant)>,
-        committed: bool,
-    ) -> Result<(), ServiceError> {
-        let Some((txn, involved, started)) = staged else {
-            return Ok(());
-        };
-        if !committed {
-            self.abort_all(txn, &involved);
-            return Ok(());
-        }
-        for &s in &involved {
-            self.channels[s].send(Request::Commit { txn });
-        }
-        let mut first_err = None;
-        for &s in &involved {
-            match self.channels[s].recv() {
-                Reply::Done(Ok(())) => {}
-                Reply::Done(Err(e)) => first_err = first_err.or(Some(e)),
-                other => panic!("shard answered Commit with {other:?}"),
-            }
-        }
-        self.timings.record_commit(started.elapsed());
-        first_err.map_or(Ok(()), |e| Err(ServiceError::Store(e)))
-    }
-
-    fn abort_all(&self, txn: u64, involved: &[usize]) {
-        for &s in involved {
-            self.channels[s].send(Request::Abort { txn });
-        }
-        for &s in involved {
-            let _ = self.channels[s].recv();
-        }
     }
 
     /// The shard plan in force (pure function of instance + N).
@@ -355,175 +199,28 @@ impl ShardedArrangementService {
             .collect()
     }
 
-    // ---- delegated surface (same as DurableArrangementService) ----
-
-    /// See [`DurableArrangementService::sync`]; also barriers every
-    /// shard log.
-    pub fn sync(&mut self) -> Result<(), ServiceError> {
-        self.inner.sync()?;
-        for ch in self.channels.iter() {
-            ch.send(Request::Sync);
-        }
-        let mut first_err = None;
-        for ch in self.channels.iter() {
-            match ch.recv() {
-                Reply::Done(Ok(())) => {}
-                Reply::Done(Err(e)) => first_err = first_err.or(Some(e)),
-                other => panic!("shard answered Sync with {other:?}"),
-            }
-        }
-        first_err.map_or(Ok(()), |e| Err(ServiceError::Store(e)))
-    }
-
-    /// See [`DurableArrangementService::snapshot_async`] (coordinator
-    /// only; shard logs are replayed in full, never compacted).
-    pub fn snapshot_async(&mut self) -> Result<(), ServiceError> {
-        self.inner.snapshot_async()
-    }
-
-    /// See [`DurableArrangementService::snapshot_published_seq`].
-    pub fn snapshot_published_seq(&self) -> u64 {
-        self.inner.snapshot_published_seq()
-    }
-
-    /// See [`DurableArrangementService::durable_lsn`] (coordinator
-    /// round log).
-    pub fn durable_lsn(&self) -> u64 {
-        self.inner.durable_lsn()
-    }
-
-    /// See [`DurableArrangementService::wait_durable`].
-    pub fn wait_durable(&self, lsn: u64) -> Result<(), ServiceError> {
-        self.inner.wait_durable(lsn)
-    }
-
-    /// See [`DurableArrangementService::group_commit_enabled`].
-    pub fn group_commit_enabled(&self) -> bool {
-        self.inner.group_commit_enabled()
-    }
-
-    /// See [`DurableArrangementService::set_commit_observer`].
-    pub fn set_commit_observer(&self, observer: Option<CommitObserver>) {
-        self.inner.set_commit_observer(observer);
-    }
-
-    /// See [`DurableArrangementService::set_commit_notifier`].
-    pub fn set_commit_notifier(&self, notifier: Option<CommitNotifier>) {
-        self.inner.set_commit_notifier(notifier);
-    }
-
-    /// The wrapped in-memory service (all read accessors).
-    pub fn service(&self) -> &ArrangementService {
-        self.inner.service()
-    }
-
-    /// See [`DurableArrangementService::prefetch_scores`]. Scoring
-    /// happens on the coordinator's policy (only the *ranking* fans out
-    /// to shard actors), so a prefetch touches no shard state and no
-    /// shard log — it composes trivially with the per-shard write sets
-    /// and the cross-shard 2PC.
-    ///
-    /// # Errors
-    /// [`ServiceError::ContextShapeMismatch`] on malformed input.
-    pub fn prefetch_scores(&mut self, t: u64, user: &UserArrival) -> Result<(), ServiceError> {
-        self.inner.prefetch_scores(t, user)
-    }
-
-    /// See [`DurableArrangementService::model_epoch`].
-    pub fn model_epoch(&self) -> u64 {
-        self.inner.model_epoch()
-    }
-
-    /// See [`DurableArrangementService::clear_prefetch`].
-    pub fn clear_prefetch(&mut self) {
-        self.inner.clear_prefetch();
-    }
-
-    /// See [`DurableArrangementService::has_pending`].
-    pub fn has_pending(&self) -> bool {
-        self.inner.has_pending()
-    }
-
-    /// See [`DurableArrangementService::pending_arrangement`].
-    pub fn pending_arrangement(&self) -> Option<&Arrangement> {
-        self.inner.pending_arrangement()
-    }
-
-    /// See [`DurableArrangementService::rounds_completed`].
-    pub fn rounds_completed(&self) -> u64 {
-        self.inner.rounds_completed()
-    }
-
-    /// See [`DurableArrangementService::fingerprint`] — the coordinator
-    /// fingerprint; shard logs mix in their index on top of it.
-    pub fn fingerprint(&self) -> u64 {
-        self.inner.fingerprint()
-    }
-
-    /// See [`DurableArrangementService::next_seq`] (coordinator round
-    /// log).
-    pub fn next_seq(&self) -> u64 {
-        self.inner.next_seq()
-    }
-
-    /// See [`DurableArrangementService::health`] (coordinator view).
-    pub fn health(&self) -> ServiceHealth {
-        self.inner.health()
-    }
-
     /// Closes every shard (sync + join actor threads) and then the
     /// coordinator (final sync + snapshot). Returns the coordinator's
     /// snapshot path as [`DurableArrangementService::close`] does.
-    pub fn close(mut self) -> Result<Option<PathBuf>, ServiceError> {
-        self.inner.install_arranger(None);
-        let mut first_err = None;
-        for ch in self.channels.iter() {
-            ch.send(Request::Close);
-        }
-        for ch in self.channels.iter() {
-            match ch.recv() {
-                Reply::Done(Ok(())) => {}
-                Reply::Done(Err(e)) => first_err = first_err.or(Some(e)),
-                other => panic!("shard answered Close with {other:?}"),
-            }
-        }
-        for join in self.joins.drain(..) {
-            let _ = join.join();
-        }
-        let snapshot = self.inner.close()?;
-        first_err.map_or(Ok(snapshot), |e| Err(ServiceError::Store(e)))
+    ///
+    /// # Errors
+    /// The coordinator's close error, else the first shard's.
+    pub fn close(self) -> Result<Option<PathBuf>, ServiceError> {
+        self.inner.close()
     }
 }
 
-/// The sharded coordinator drives under [`fasea_sim::RoundPipeline`]
-/// like the single-actor backends: scoring (and hence prefetching)
-/// stays on the coordinator thread, feedback runs the cross-shard 2PC
-/// in `feedback_begin` and gates acknowledgement on the coordinator
-/// LSN in `wait_durable`.
-impl fasea_sim::PipelinedBackend for ShardedArrangementService {
-    fn rounds_completed(&self) -> u64 {
-        ShardedArrangementService::rounds_completed(self)
+impl Deref for ShardedArrangementService {
+    type Target = DurableArrangementService;
+
+    fn deref(&self) -> &DurableArrangementService {
+        &self.inner
     }
-    fn pending_arrangement(&self) -> Option<Arrangement> {
-        ShardedArrangementService::pending_arrangement(self).cloned()
-    }
-    fn propose(&mut self, user: &UserArrival) -> Result<Arrangement, ServiceError> {
-        ShardedArrangementService::propose(self, user)
-    }
-    fn feedback_begin(&mut self, accepts: &[bool]) -> Result<(u32, u64), ServiceError> {
-        self.feedback_deferred(accepts)
-    }
-    fn wait_durable(&self, token: u64) -> Result<(), ServiceError> {
-        ShardedArrangementService::wait_durable(self, token)
-    }
-    fn lifecycle(&mut self, event: u32, capacity: u32) -> Result<u32, ServiceError> {
-        ShardedArrangementService::lifecycle(self, event, capacity)
-    }
-    fn prefetch_scores(&mut self, t: u64, user: &UserArrival) -> Result<(), ServiceError> {
-        ShardedArrangementService::prefetch_scores(self, t, user)
-    }
-    fn prefetch_stats(&self) -> fasea_bandit::PrefetchStats {
-        self.service().policy().workspace().prefetch_stats()
+}
+
+impl DerefMut for ShardedArrangementService {
+    fn deref_mut(&mut self) -> &mut DurableArrangementService {
+        &mut self.inner
     }
 }
 
@@ -536,19 +233,140 @@ impl std::fmt::Debug for ShardedArrangementService {
     }
 }
 
+/// The shards' side of the round commit, installed in the coordinator
+/// as its [`CommitParticipant`].
+struct ShardCommit {
+    plan: Arc<ShardPlan>,
+    channels: Arc<Vec<ShardChannel>>,
+    timings: Arc<ShardTimings>,
+    joins: Vec<JoinHandle<()>>,
+    /// The prepared transaction awaiting `finish`: its id, the involved
+    /// shards (ascending) and when phase 1 started.
+    staged: Option<(u64, Vec<usize>, Instant)>,
+}
+
+impl ShardCommit {
+    /// Collects one `Done` reply from each of `shards`; the first error
+    /// wins.
+    fn collect(&self, shards: &[usize]) -> Result<(), StoreError> {
+        let mut first_err = None;
+        for &s in shards {
+            match self.channels[s].recv() {
+                Reply::Done(Ok(())) => {}
+                Reply::Done(Err(e)) => first_err = first_err.or(Some(e)),
+                other => panic!("shard {s} answered with {other:?}"),
+            }
+        }
+        first_err.map_or(Ok(()), Err)
+    }
+
+    /// Sends `req` to each of `shards`, then collects their replies.
+    fn broadcast(&self, shards: &[usize], req: impl Fn() -> Request) -> Result<(), StoreError> {
+        for &s in shards {
+            self.channels[s].send(req());
+        }
+        self.collect(shards)
+    }
+
+    fn all_shards(&self) -> Vec<usize> {
+        (0..self.channels.len()).collect()
+    }
+}
+
+impl CommitParticipant for ShardCommit {
+    /// Builds the per-shard write sets and durably prepares them on
+    /// every involved shard (ascending shard order). A round that
+    /// accepted nothing involves no shard.
+    fn prepare(
+        &mut self,
+        txn: u64,
+        arrangement: &Arrangement,
+        accepted: &[bool],
+    ) -> Result<(), StoreError> {
+        let mut by_shard: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.plan.num_shards()];
+        for (slot, v) in arrangement.iter().enumerate() {
+            if accepted[slot] {
+                let event = v.index() as u32;
+                by_shard[self.plan.shard_of(event)].push((event, 1));
+            }
+        }
+        let involved: Vec<usize> = (0..by_shard.len())
+            .filter(|&s| !by_shard[s].is_empty())
+            .collect();
+        if involved.is_empty() {
+            return Ok(());
+        }
+        let started = Instant::now();
+        for &s in &involved {
+            // Arrangement order is the greedy visiting order; the
+            // write-set encoding wants ascending event ids.
+            by_shard[s].sort_unstable_by_key(|&(event, _)| event);
+            self.channels[s].send(Request::Prepare {
+                txn,
+                decs: std::mem::take(&mut by_shard[s]),
+            });
+        }
+        for &s in &involved {
+            self.channels[s].sample_depth();
+        }
+        if let Err(e) = self.collect(&involved) {
+            // Best effort: unstage what did prepare, then surface the
+            // failure. Anything left in-doubt resolves on reopen.
+            let _ = self.broadcast(&involved, || Request::Abort { txn });
+            return Err(e);
+        }
+        self.staged = Some((txn, involved, started));
+        Ok(())
+    }
+
+    /// Fans `Commit` (or, when a coordinator step failed, `Abort`) out
+    /// to the involved shards in ascending order.
+    fn finish(&mut self, commit: bool) -> Result<(), StoreError> {
+        let Some((txn, involved, started)) = self.staged.take() else {
+            return Ok(());
+        };
+        if !commit {
+            let _ = self.broadcast(&involved, || Request::Abort { txn });
+            return Ok(());
+        }
+        let result = self.broadcast(&involved, || Request::Commit { txn });
+        self.timings.record_commit(started.elapsed());
+        result
+    }
+
+    /// The coordinator's `Lifecycle` record is the decision: it is
+    /// durable (and applied to the capacity mirror) *before* the owning
+    /// shard logs and installs its own copy. A crash in between leaves
+    /// the shard's counter stale, which recovery's reconciliation
+    /// repairs from the mirror — a lost lower shows up as drift-above,
+    /// a lost raise as drift-below with no committed round to explain
+    /// it.
+    fn lifecycle(&mut self, t: u64, event: u32, capacity: u32) -> Result<(), StoreError> {
+        let shard = self.plan.shard_of(event);
+        self.broadcast(&[shard], || Request::Lifecycle { t, event, capacity })
+    }
+
+    /// Barriers every shard log.
+    fn sync(&mut self) -> Result<(), StoreError> {
+        self.broadcast(&self.all_shards(), || Request::Sync)
+    }
+
+    /// Closes every shard log and joins the actor threads.
+    fn close(mut self: Box<Self>) -> Result<(), StoreError> {
+        let result = self.broadcast(&self.all_shards(), || Request::Close);
+        for join in self.joins.drain(..) {
+            let _ = join.join();
+        }
+        result
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use fasea_bandit::ThompsonSampling;
-    use fasea_core::{ConflictGraph, ContextMatrix, ProblemMode};
-    use fasea_store::FsyncPolicy;
-    use std::fs;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("fasea-shard-{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
+    use fasea_core::{ConflictGraph, ContextMatrix, ProblemMode, UserArrival};
+    use fasea_store::{FsyncPolicy, TempDir};
 
     fn instance() -> ProblemInstance {
         // Components {0,5}, {2,3}, singletons 1/4/6/7 — splits across
@@ -594,7 +412,7 @@ mod tests {
 
     /// Full observable state of the single-actor reference run.
     fn reference(rounds: u64) -> (Vec<Vec<bool>>, Vec<u32>, Vec<u8>) {
-        let dir = tmp("reference");
+        let dir = TempDir::new("shard-reference");
         let mut svc =
             DurableArrangementService::open(&dir, instance(), ts_policy(), opts()).unwrap();
         let mut accepts = Vec::new();
@@ -606,7 +424,6 @@ mod tests {
         }
         let remaining = svc.service().remaining().to_vec();
         let policy = svc.service().policy().save_state();
-        let _ = fs::remove_dir_all(&dir);
         (accepts, remaining, policy)
     }
 
@@ -614,7 +431,7 @@ mod tests {
     fn sharded_run_is_byte_identical_to_single_actor() {
         let (_, ref_remaining, ref_policy) = reference(40);
         for shards in [1usize, 2, 3, 4] {
-            let dir = tmp(&format!("parity-{shards}"));
+            let dir = TempDir::new("shard-parity");
             let mut svc =
                 ShardedArrangementService::open(&dir, instance(), ts_policy(), opts(), shards)
                     .unwrap();
@@ -636,14 +453,13 @@ mod tests {
                 }
             }
             svc.close().unwrap();
-            let _ = fs::remove_dir_all(&dir);
         }
     }
 
     #[test]
     fn clean_close_and_reopen_resumes_identically() {
         let (_, ref_remaining, ref_policy) = reference(30);
-        let dir = tmp("reopen");
+        let dir = TempDir::new("shard-reopen");
         {
             let mut svc =
                 ShardedArrangementService::open(&dir, instance(), ts_policy(), opts(), 3).unwrap();
@@ -657,13 +473,12 @@ mod tests {
         assert_eq!(svc.service().remaining(), &ref_remaining[..]);
         assert_eq!(svc.service().policy().save_state(), ref_policy);
         svc.close().unwrap();
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn crash_style_drop_recovers_and_continues() {
         let (_, ref_remaining, ref_policy) = reference(30);
-        let dir = tmp("crash");
+        let dir = TempDir::new("shard-crash");
         {
             let mut svc =
                 ShardedArrangementService::open(&dir, instance(), ts_policy(), opts(), 4).unwrap();
@@ -689,12 +504,11 @@ mod tests {
             }
         }
         svc.close().unwrap();
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn feedback_shape_errors_leave_no_staged_transactions() {
-        let dir = tmp("shape");
+        let dir = TempDir::new("shard-shape");
         let mut svc =
             ShardedArrangementService::open(&dir, instance(), ts_policy(), opts(), 2).unwrap();
         assert!(matches!(
@@ -709,12 +523,11 @@ mod tests {
         svc.feedback(&accepts_for(0, &a)).unwrap();
         assert_eq!(svc.rounds_completed(), 1);
         svc.close().unwrap();
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn metrics_samples_drain_once() {
-        let dir = tmp("metrics");
+        let dir = TempDir::new("shard-metrics");
         let mut svc =
             ShardedArrangementService::open(&dir, instance(), ts_policy(), opts(), 2).unwrap();
         let a = svc.propose(&arrival(0)).unwrap();
@@ -727,6 +540,41 @@ mod tests {
         assert_eq!(depths.len(), 2);
         assert!(depths.iter().any(|d| d.is_some()));
         svc.close().unwrap();
-        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every round-surface call through the dereferenced coordinator —
+    /// blocking feedback under group commit, lifecycle, sync — takes
+    /// part in the shard two-phase commit.
+    #[test]
+    fn coordinator_reached_through_deref_drives_the_shards() {
+        let (_, ref_remaining, ref_policy) = reference(24);
+        let dir = TempDir::new("shard-deref");
+        let mut sharded = ShardedArrangementService::open(
+            &dir,
+            instance(),
+            ts_policy(),
+            opts().with_group_commit(true),
+            3,
+        )
+        .unwrap();
+        let coordinator: &mut DurableArrangementService = &mut sharded;
+        for round in 0..24 {
+            let a = coordinator.propose(&arrival(round)).unwrap();
+            coordinator.feedback(&accepts_for(round, &a)).unwrap();
+        }
+        assert_eq!(coordinator.service().remaining(), &ref_remaining[..]);
+        assert!(ref_remaining[0] > 0 && ref_remaining[2] != 4, "non-vacuous");
+        coordinator.lifecycle(0, 0).unwrap();
+        coordinator.lifecycle(2, 4).unwrap();
+        coordinator.sync().unwrap();
+        let mirror = coordinator.service().remaining().to_vec();
+        assert_eq!((mirror[0], mirror[2]), (0, 4));
+        assert_eq!(coordinator.service().policy().save_state(), ref_policy);
+        for s in 0..3 {
+            for (event, rem) in sharded.shard_remaining(s) {
+                assert_eq!(rem, mirror[event as usize], "shard {s} event {event}");
+            }
+        }
+        sharded.close().unwrap();
     }
 }

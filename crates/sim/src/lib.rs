@@ -23,7 +23,7 @@
 //!   efficiency columns of Tables 5 and 6.
 //!
 //! [`sweep::run_parallel`] fans independent experiment cells out over
-//! crossbeam scoped threads.
+//! scoped threads.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -42,7 +42,7 @@ pub mod snapshotter;
 pub mod sweep;
 
 pub use durable::{
-    fold_fingerprint_salt, service_fingerprint, service_fingerprint_with_oracle,
+    fold_fingerprint_salt, service_fingerprint, service_fingerprint_with_oracle, CommitParticipant,
     DurableArrangementService, DurableOptions, ServiceHealth,
 };
 pub use memory::MemoryModel;

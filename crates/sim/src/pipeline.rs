@@ -47,12 +47,14 @@ use crate::service::{ArrangementService, ServiceError};
 use fasea_bandit::PrefetchStats;
 use fasea_core::{Arrangement, ChurnSchedule, UserArrival};
 use std::collections::VecDeque;
+use std::ops::DerefMut;
 
 /// The single-user round surface [`RoundPipeline`] drives. Implemented
 /// by the in-memory [`ArrangementService`], the durable
-/// [`DurableArrangementService`], and (in `fasea-shard`) the sharded
-/// coordinator — so one pipeline implementation serves every backend
-/// and the parity gates can compare them pairwise.
+/// [`DurableArrangementService`], and every handle that dereferences to
+/// one (the sharded coordinator in `fasea-shard`) — so one pipeline
+/// implementation serves every backend and the parity gates can compare
+/// them pairwise.
 pub trait PipelinedBackend {
     /// Rounds completed (proposal + feedback pairs).
     fn rounds_completed(&self) -> u64;
@@ -150,6 +152,37 @@ impl PipelinedBackend for DurableArrangementService {
     }
     fn prefetch_stats(&self) -> PrefetchStats {
         self.service().policy().workspace().prefetch_stats()
+    }
+}
+
+/// Every handle that dereferences to a durable service — the sharded
+/// coordinator (`fasea-shard`) and the serve backend — drives the
+/// pipeline through that service: the shard two-phase commit runs
+/// inside its `feedback_deferred`.
+impl<T: DerefMut<Target = DurableArrangementService>> PipelinedBackend for T {
+    fn rounds_completed(&self) -> u64 {
+        PipelinedBackend::rounds_completed(&**self)
+    }
+    fn pending_arrangement(&self) -> Option<Arrangement> {
+        PipelinedBackend::pending_arrangement(&**self)
+    }
+    fn propose(&mut self, user: &UserArrival) -> Result<Arrangement, ServiceError> {
+        PipelinedBackend::propose(&mut **self, user)
+    }
+    fn feedback_begin(&mut self, accepts: &[bool]) -> Result<(u32, u64), ServiceError> {
+        PipelinedBackend::feedback_begin(&mut **self, accepts)
+    }
+    fn wait_durable(&self, token: u64) -> Result<(), ServiceError> {
+        PipelinedBackend::wait_durable(&**self, token)
+    }
+    fn lifecycle(&mut self, event: u32, capacity: u32) -> Result<u32, ServiceError> {
+        PipelinedBackend::lifecycle(&mut **self, event, capacity)
+    }
+    fn prefetch_scores(&mut self, t: u64, user: &UserArrival) -> Result<(), ServiceError> {
+        PipelinedBackend::prefetch_scores(&mut **self, t, user)
+    }
+    fn prefetch_stats(&self) -> PrefetchStats {
+        PipelinedBackend::prefetch_stats(&**self)
     }
 }
 

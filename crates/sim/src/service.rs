@@ -202,16 +202,6 @@ impl ArrangementService {
         self.policy.workspace_mut().set_score_pool(pool);
     }
 
-    /// Installs (or removes, with `None`) an external
-    /// [`fasea_bandit::Arranger`] in the wrapped policy's workspace —
-    /// the seam the sharded coordinator uses to fan the Oracle-Greedy
-    /// top-k ranking out over shard actors. The arranger contract
-    /// (arrangements equal to the serial oracle) means this too can be
-    /// flipped at any round boundary without perturbing decisions.
-    pub fn install_arranger(&mut self, arranger: Option<Arc<dyn fasea_bandit::Arranger>>) {
-        self.policy.workspace_mut().set_arranger(arranger);
-    }
-
     /// Installs (or removes, with `None`) an [`fasea_bandit::Oracle`]
     /// in the wrapped policy's workspace — the arrangement step every
     /// selection runs through. `None` (and an explicit

@@ -2,7 +2,7 @@
 //!
 //! A paper figure is typically a sweep — the same simulation repeated
 //! over a parameter grid (|V|, d, cr, λ, α, …). Cells are independent,
-//! so they fan out over crossbeam scoped threads, bounded by the
+//! so they fan out over scoped threads, bounded by the
 //! available parallelism.
 
 /// Runs `jobs` (one closure per experiment cell) with at most
@@ -47,9 +47,9 @@ where
         .collect();
     let next = AtomicUsize::new(0);
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads.min(n) {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 // Relaxed suffices: claim uniqueness comes from the RMW
                 // itself, and result visibility from the scope join.
                 let i = next.fetch_add(1, Ordering::Relaxed);
@@ -62,8 +62,7 @@ where
                 cell.1 = Some(f());
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
 
     cells
         .into_iter()

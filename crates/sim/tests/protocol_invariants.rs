@@ -18,7 +18,7 @@ use fasea_core::{
     Arrangement, ConflictGraph, ContextMatrix, ProblemInstance, ProblemMode, UserArrival,
 };
 use fasea_sim::{ArrangementService, DurableArrangementService, DurableOptions, ServiceError};
-use fasea_store::FsyncPolicy;
+use fasea_store::{FsyncPolicy, TempDir};
 
 const NUM_EVENTS: usize = 4;
 const DIM: usize = 2;
@@ -185,10 +185,7 @@ fn every_interleaving_up_to_depth() {
 /// recovered pending round enforces the same protocol discipline.
 #[test]
 fn feedback_discipline_after_recovery_pending() {
-    let dir =
-        std::env::temp_dir().join(format!("fasea-protocol-invariants-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("protocol-invariants");
     let options = DurableOptions::new().with_fsync(FsyncPolicy::Always);
     let make_policy = || -> Box<dyn Policy> { Box::new(LinUcb::new(DIM, 1.0, 2.0)) };
 
@@ -234,5 +231,4 @@ fn feedback_discipline_after_recovery_pending() {
         svc.feedback(&[]),
         Err(ServiceError::NoPendingProposal)
     ));
-    let _ = std::fs::remove_dir_all(&dir);
 }

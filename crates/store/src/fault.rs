@@ -148,42 +148,43 @@ impl<R: Read> Read for ShortReader<R> {
 mod tests {
     use super::*;
     use crate::record::{read_frame, write_frame, FrameOutcome, Record};
+    use crate::TempDir;
 
-    fn tmp_file(name: &str, contents: &[u8]) -> PathBuf {
-        let path = std::env::temp_dir().join(format!("fasea-fault-{name}-{}", std::process::id()));
+    /// A file holding `contents` inside a fresh directory (kept alive by
+    /// the returned guard).
+    fn tmp_file(contents: &[u8]) -> (TempDir, PathBuf) {
+        let dir = TempDir::new("fault");
+        let path = dir.join("file");
         fs::write(&path, contents).unwrap();
-        path
+        (dir, path)
     }
 
     #[test]
     fn torn_write_truncates() {
-        let path = tmp_file("torn", &[1, 2, 3, 4, 5, 6]);
+        let (_dir, path) = tmp_file(&[1, 2, 3, 4, 5, 6]);
         let f = FaultFile::new(&path);
         f.torn_write(2).unwrap();
         assert_eq!(fs::read(&path).unwrap(), vec![1, 2]);
         assert_eq!(f.len().unwrap(), 2);
-        fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn flip_bit_flips_exactly_one() {
-        let path = tmp_file("flip", &[0b0000_0000; 4]);
+        let (_dir, path) = tmp_file(&[0b0000_0000; 4]);
         let f = FaultFile::new(&path);
         f.flip_bit(2, 5).unwrap();
         assert_eq!(fs::read(&path).unwrap(), vec![0, 0, 0b0010_0000, 0]);
         assert!(f.flip_bit(99, 0).is_err());
-        fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn overwrite_and_append() {
-        let path = tmp_file("scribble", &[9; 8]);
+        let (_dir, path) = tmp_file(&[9; 8]);
         let f = FaultFile::new(&path);
         f.overwrite(3, &[1, 2]).unwrap();
         f.append_garbage(&[7, 7]).unwrap();
         assert_eq!(fs::read(&path).unwrap(), vec![9, 9, 9, 1, 2, 9, 9, 9, 7, 7]);
         assert!(f.overwrite(9, &[1, 1]).is_err());
-        fs::remove_file(path).unwrap();
     }
 
     #[test]

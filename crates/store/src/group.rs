@@ -509,18 +509,8 @@ fn syncer_loop(mut wal: Wal, shared: Arc<Shared>) -> Wal {
 mod tests {
     use super::*;
     use crate::wal::WalOptions;
-    use std::path::PathBuf;
+    use crate::TempDir;
     use std::sync::atomic::AtomicUsize;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "fasea-group-{name}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn feedback(t: u64, len: usize) -> Record {
         Record::Feedback {
@@ -539,7 +529,7 @@ mod tests {
 
     #[test]
     fn batched_appends_reach_disk_identically_to_direct_appends() {
-        let dir = tmp("parity");
+        let dir = TempDir::new("group-parity");
         let group = GroupCommitWal::spawn(open_wal(&dir, FsyncPolicy::Always));
         let mut last = 0;
         for t in 0..50u64 {
@@ -551,7 +541,7 @@ mod tests {
         let wal = group.close().unwrap();
         drop(wal);
 
-        let dir2 = tmp("parity-direct");
+        let dir2 = TempDir::new("group-parity-direct");
         let mut direct = open_wal(&dir2, FsyncPolicy::Always);
         for t in 0..50u64 {
             direct.append(&feedback(t, 3)).unwrap();
@@ -563,13 +553,11 @@ mod tests {
         assert_eq!(torn_a, None);
         assert_eq!(torn_b, None);
         assert_eq!(grouped, directly, "grouped and direct logs diverge");
-        std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(&dir2).unwrap();
     }
 
     #[test]
     fn maintenance_tasks_are_ordered_with_appends() {
-        let dir = tmp("maintenance");
+        let dir = TempDir::new("group-maintenance");
         let group = GroupCommitWal::spawn(open_wal(&dir, FsyncPolicy::Never));
         for t in 0..10u64 {
             group.append(feedback(t, 2)).unwrap();
@@ -593,12 +581,11 @@ mod tests {
         let wal = group.close().unwrap();
         assert_eq!(wal.next_seq(), 11);
         drop(wal);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn close_drains_the_queue_and_joins_the_syncer() {
-        let dir = tmp("drain");
+        let dir = TempDir::new("group-drain");
         let group = GroupCommitWal::spawn(open_wal(&dir, FsyncPolicy::EveryN(16)));
         // Other tests spawn/close syncers concurrently, so only a lower
         // bound is stable here.
@@ -612,12 +599,11 @@ mod tests {
         drop(wal);
         let (records, _, _) = crate::wal::scan(&dir, 7).unwrap();
         assert_eq!(records.len(), 100);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn concurrent_appenders_get_distinct_ordered_lsns() {
-        let dir = tmp("concurrent");
+        let dir = TempDir::new("group-concurrent");
         let group = Arc::new(GroupCommitWal::spawn(open_wal(&dir, FsyncPolicy::Never)));
         let mut handles = Vec::new();
         for worker in 0..4u64 {
@@ -647,12 +633,11 @@ mod tests {
         for (i, (seq, _)) in records.iter().enumerate() {
             assert_eq!(*seq, i as u64);
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn observer_and_notifier_fire_with_consistent_values() {
-        let dir = tmp("observer");
+        let dir = TempDir::new("group-observer");
         let group = GroupCommitWal::spawn(open_wal(&dir, FsyncPolicy::Always));
         let batched = Arc::new(AtomicUsize::new(0));
         let high_water = Arc::new(AtomicU64::new(0));
@@ -669,9 +654,10 @@ mod tests {
             last = group.append(feedback(t, 2)).unwrap();
         }
         group.wait_durable(last).unwrap();
+        // The syncer runs both hooks after waking waiters, so only its
+        // join makes the last batch's calls visible.
+        group.close().unwrap();
         assert_eq!(batched.load(Ordering::SeqCst), 40);
         assert!(high_water.load(Ordering::SeqCst) >= 40);
-        group.close().unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -33,6 +33,8 @@
 //! * [`fault`] — [`FaultFile`] and [`ShortReader`], which inject torn
 //!   writes, bit flips and short reads at chosen offsets to drive the
 //!   recovery test matrix.
+//! * [`tempdir`] — [`TempDir`], the unique self-removing scratch
+//!   directory every test, bench and example in the workspace uses.
 //!
 //! The crate is deliberately dependency-free (std only) and speaks in
 //! plain types (`Vec<u32>` capacities, row-major `Vec<f64>` contexts,
@@ -47,6 +49,7 @@ pub mod fault;
 pub mod group;
 pub mod record;
 pub mod snapshot;
+pub mod tempdir;
 pub mod wal;
 
 pub use crc::{crc32, Crc32};
@@ -57,6 +60,7 @@ pub use record::{
     MAX_PAYLOAD,
 };
 pub use snapshot::{PendingProposal, ServiceSnapshot};
+pub use tempdir::TempDir;
 pub use wal::{FsyncPolicy, Wal, WalOptions};
 
 /// Frame tag for [`Record::Propose`].

@@ -354,12 +354,7 @@ pub fn prune_snapshots(dir: &Path, keep: usize) -> Result<usize, StoreError> {
 mod tests {
     use super::*;
     use crate::fault::FaultFile;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("fasea-snap-{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
+    use crate::TempDir;
 
     fn sample(seq: u64) -> ServiceSnapshot {
         ServiceSnapshot {
@@ -420,30 +415,28 @@ mod tests {
 
     #[test]
     fn atomic_write_and_latest() {
-        let dir = tmp("atomic");
+        let dir = TempDir::new("snap-atomic");
         sample(10).write_atomic(&dir).unwrap();
         sample(25).write_atomic(&dir).unwrap();
         let latest = latest_snapshot(&dir, 0xFEED).unwrap().unwrap();
         assert_eq!(latest.seq, 25);
         // Foreign fingerprint: nothing usable.
         assert!(latest_snapshot(&dir, 0xDEAD).unwrap().is_none());
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn damaged_newest_falls_back_to_older() {
-        let dir = tmp("fallback");
+        let dir = TempDir::new("snap-fallback");
         sample(10).write_atomic(&dir).unwrap();
         let newest = sample(25).write_atomic(&dir).unwrap();
         FaultFile::new(&newest).flip_bit(40, 2).unwrap();
         let latest = latest_snapshot(&dir, 0xFEED).unwrap().unwrap();
         assert_eq!(latest.seq, 10, "should fall back past the damaged snapshot");
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn prune_keeps_newest() {
-        let dir = tmp("prune");
+        let dir = TempDir::new("snap-prune");
         for seq in [1u64, 2, 3, 4] {
             sample(seq).write_atomic(&dir).unwrap();
         }
@@ -451,6 +444,5 @@ mod tests {
         assert_eq!(removed, 2);
         let latest = latest_snapshot(&dir, 0xFEED).unwrap().unwrap();
         assert_eq!(latest.seq, 4);
-        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -550,13 +550,8 @@ pub fn scan(dir: &Path, fingerprint: u64) -> Result<ScanOutcome, StoreError> {
 mod tests {
     use super::*;
     use crate::fault::FaultFile;
+    use crate::TempDir;
     use std::path::Path;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("fasea-wal-{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn marker(n: u64) -> Record {
         Record::SnapshotMarker { snapshot_seq: n }
@@ -571,7 +566,7 @@ mod tests {
 
     #[test]
     fn append_reopen_round_trip() {
-        let dir = tmp("round-trip");
+        let dir = TempDir::new("wal-round-trip");
         let opts = WalOptions {
             segment_bytes: 1 << 20,
             fsync: FsyncPolicy::Never,
@@ -592,12 +587,11 @@ mod tests {
         assert_eq!(rec.records, appended);
         assert_eq!(rec.truncated_bytes, 0);
         assert_eq!(wal.next_seq(), 50);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn rotation_spreads_records_over_segments() {
-        let dir = tmp("rotation");
+        let dir = TempDir::new("wal-rotation");
         let opts = WalOptions {
             segment_bytes: 128,
             fsync: FsyncPolicy::Never,
@@ -616,12 +610,11 @@ mod tests {
         for (i, (seq, _)) in rec.records.iter().enumerate() {
             assert_eq!(*seq, i as u64);
         }
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn torn_tail_is_truncated_on_open() {
-        let dir = tmp("torn-tail");
+        let dir = TempDir::new("wal-torn-tail");
         let opts = WalOptions::default();
         {
             let (mut wal, _) = Wal::open(&dir, 1, opts).unwrap();
@@ -640,12 +633,11 @@ mod tests {
         assert_eq!(wal.next_seq(), 9);
         // The log accepts appends at the recovered position.
         assert_eq!(wal.append(&feedback(9, 4)).unwrap(), 9);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn bit_flip_in_final_segment_recovers_longest_intact_prefix() {
-        let dir = tmp("bit-flip");
+        let dir = TempDir::new("wal-bit-flip");
         let opts = WalOptions::default();
         {
             let (mut wal, _) = Wal::open(&dir, 1, opts).unwrap();
@@ -664,12 +656,11 @@ mod tests {
         for (i, (seq, _)) in rec.records.iter().enumerate() {
             assert_eq!(*seq, i as u64);
         }
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn corruption_in_non_final_segment_is_an_error() {
-        let dir = tmp("mid-corrupt");
+        let dir = TempDir::new("wal-mid-corrupt");
         let opts = WalOptions {
             segment_bytes: 128,
             fsync: FsyncPolicy::Never,
@@ -689,12 +680,11 @@ mod tests {
             Err(StoreError::CorruptSegment { .. }) => {}
             other => panic!("expected CorruptSegment, got {other:?}"),
         }
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn foreign_fingerprint_rejected() {
-        let dir = tmp("foreign");
+        let dir = TempDir::new("wal-foreign");
         let opts = WalOptions::default();
         {
             let (mut wal, _) = Wal::open(&dir, 0xAAAA, opts).unwrap();
@@ -708,12 +698,11 @@ mod tests {
             }
             other => panic!("expected ForeignInstance, got {other:?}"),
         }
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let dir = tmp("magic");
+        let dir = TempDir::new("wal-magic");
         let opts = WalOptions::default();
         {
             let (mut wal, _) = Wal::open(&dir, 1, opts).unwrap();
@@ -726,12 +715,11 @@ mod tests {
             Wal::open(&dir, 1, opts),
             Err(StoreError::NotAWalSegment { .. })
         ));
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn compaction_removes_only_covered_segments() {
-        let dir = tmp("compact");
+        let dir = TempDir::new("wal-compact");
         let opts = WalOptions {
             segment_bytes: 128,
             fsync: FsyncPolicy::Never,
@@ -754,7 +742,6 @@ mod tests {
         drop(wal);
         let (_, rec) = Wal::open(&dir, 1, opts).unwrap();
         assert_eq!(rec.records.first().map(|(s, _)| *s), Some(snapshot_seq));
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -764,7 +751,7 @@ mod tests {
             FsyncPolicy::EveryN(4),
             FsyncPolicy::Never,
         ] {
-            let dir = tmp(&format!("fsync-{}", fsync.label()));
+            let dir = TempDir::new("wal-fsync");
             let opts = WalOptions {
                 segment_bytes: 1 << 20,
                 fsync,
@@ -776,7 +763,6 @@ mod tests {
             drop(wal);
             let (_, rec) = Wal::open(&dir, 1, opts).unwrap();
             assert_eq!(rec.records.len(), 10);
-            fs::remove_dir_all(&dir).unwrap();
         }
     }
 
@@ -786,7 +772,7 @@ mod tests {
         // rotation (rotation itself syncs, so the rotated-away records
         // are a durability point) instead of carrying a stale phase
         // into the new segment.
-        let dir = tmp("every-n-rotation");
+        let dir = TempDir::new("wal-every-n-rotation");
         let opts = WalOptions {
             // Header (32) + six 31-byte feedback frames = 218, so a
             // rotation lands on the 6th append — mid-cadence of
@@ -857,12 +843,11 @@ mod tests {
         drop(wal);
         let (_, rec) = Wal::open(&dir, 1, opts).unwrap();
         assert!(rec.records.len() >= 33);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn scan_reports_boundaries_and_torn_tail() {
-        let dir = tmp("scan");
+        let dir = TempDir::new("wal-scan");
         let opts = WalOptions {
             segment_bytes: 1 << 20,
             fsync: FsyncPolicy::Never,
@@ -892,6 +877,5 @@ mod tests {
             len - 1,
             "scan must not truncate"
         );
-        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -15,6 +15,7 @@ use fasea::core::{
     Arrangement, ConflictGraph, ContextMatrix, ProblemInstance, ProblemMode, UserArrival,
 };
 use fasea::sim::DurableOptions;
+use fasea::store::TempDir;
 use fasea::{DurableArrangementService, FsyncPolicy};
 use std::path::Path;
 
@@ -73,8 +74,7 @@ fn run_until(svc: &mut DurableArrangementService, upto: u64) {
 }
 
 fn main() {
-    let dir = std::env::temp_dir().join(format!("fasea-durable-demo-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("durable-demo");
 
     println!("durable service in {}", dir.display());
 
@@ -143,6 +143,4 @@ fn main() {
         "crash-recovered accounting must match the uninterrupted run"
     );
     println!("uninterrupted control run matches exactly — recovery is lossless.");
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -17,6 +17,7 @@ use fasea::datagen::{SyntheticConfig, SyntheticWorkload};
 use fasea::serve::{ClientConfig, ServeClient, Server, ServerConfig};
 use fasea::sim::DurableOptions;
 use fasea::stats::CoinStream;
+use fasea::store::TempDir;
 use fasea::{DurableArrangementService, FsyncPolicy};
 
 const SEED: u64 = 7;
@@ -35,9 +36,7 @@ fn workload() -> SyntheticWorkload {
 }
 
 fn main() {
-    let dir = std::env::temp_dir().join(format!("fasea-network-service-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create state dir");
+    let dir = TempDir::new("network-service");
 
     let svc = DurableArrangementService::open(
         &dir,
@@ -74,7 +73,6 @@ fn main() {
         report.close.rounds_completed,
         report.close.snapshot.as_deref()
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One session: claim rounds until the shared counter reaches the

@@ -19,7 +19,8 @@ use fasea::models::{
 };
 use fasea::sim::run_multi_user_stored;
 use fasea::stats::crn::mix64;
-use std::path::PathBuf;
+use fasea::store::TempDir;
+use std::path::Path;
 
 const DIM: usize = 5;
 const HORIZON: u64 = 1500;
@@ -38,18 +39,11 @@ fn workload() -> MultiUserWorkload {
     })
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("fasea-models-golden-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// One exact d=5 model is (2·25 + 3·5)·8 = 520 bytes plus estimator
 /// overhead; a hot budget of 2 KiB holds only a couple of models for a
 /// population of 60, so nearly every round faults, and a warm budget of
 /// 256 bytes keeps the quantized tier churning too.
-fn tiny_budget(dir: &PathBuf) -> StoreConfig {
+fn tiny_budget(dir: &Path) -> StoreConfig {
     StoreConfig::bounded(DIM, 1.0, 2048, 256, dir)
 }
 
@@ -123,20 +117,19 @@ fn check_pair<P: Policy>(
 
 #[test]
 fn tiny_budget_ucb_run_is_bit_equal_to_unbounded() {
-    let dir = temp_dir("ucb");
+    let dir = TempDir::new("models-golden-ucb");
     check_pair(
         "ucb",
         PersonalizedUcb::new(open(tiny_budget(&dir)), schedule(), 2.0),
         PersonalizedUcb::new(open(StoreConfig::unbounded(DIM, 1.0)), schedule(), 2.0),
         |p| p.store().stats(),
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn tiny_budget_ts_run_is_bit_equal_to_unbounded() {
     let seed = mix64(SEED ^ 0x75);
-    let dir = temp_dir("ts");
+    let dir = TempDir::new("models-golden-ts");
     let budgeted = PersonalizedTs::new(open(tiny_budget(&dir)), schedule(), 0.1, seed);
     let unbounded = PersonalizedTs::new(
         open(StoreConfig::unbounded(DIM, 1.0)),
@@ -145,7 +138,6 @@ fn tiny_budget_ts_run_is_bit_equal_to_unbounded() {
         seed,
     );
     check_pair("ts", budgeted, unbounded, |p| p.store().stats());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -154,7 +146,7 @@ fn ts_posterior_rng_position_is_residency_independent() {
     // budgeted and an unbounded run end at the same RNG state even
     // though their residency histories differ completely.
     let seed = mix64(SEED ^ 0x75);
-    let dir = temp_dir("ts-rng");
+    let dir = TempDir::new("models-golden-ts-rng");
     let mut budgeted = PersonalizedTs::new(open(tiny_budget(&dir)), schedule(), 0.1, seed);
     let mut unbounded = PersonalizedTs::new(
         open(StoreConfig::unbounded(DIM, 1.0)),
@@ -166,7 +158,6 @@ fn ts_posterior_rng_position_is_residency_independent() {
     let _ = run_multi_user_stored(&w, &mut budgeted, 500, SEED ^ 0xFB);
     let _ = run_multi_user_stored(&w, &mut unbounded, 500, SEED ^ 0xFB);
     assert_eq!(budgeted.rng_digest(), unbounded.rng_digest());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -176,7 +167,7 @@ fn budgeted_state_restores_into_an_unbounded_store_and_continues_in_lockstep() {
     // fresh unbounded policy losslessly.
     let seed = mix64(SEED ^ 0x75);
     let w = workload();
-    let dir = temp_dir("restore");
+    let dir = TempDir::new("models-golden-restore");
     let mut budgeted = PersonalizedTs::new(open(tiny_budget(&dir)), schedule(), 0.1, seed);
     let _ = run_multi_user_stored(&w, &mut budgeted, 400, SEED ^ 0xFB);
 
@@ -191,5 +182,4 @@ fn budgeted_state_restores_into_an_unbounded_store_and_continues_in_lockstep() {
         .restore_state(&blob)
         .expect("restore across budget configurations");
     assert_eq!(blob, resumed.save_state(), "restore is not lossless");
-    let _ = std::fs::remove_dir_all(&dir);
 }

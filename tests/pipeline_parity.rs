@@ -25,7 +25,6 @@
 //!    continuation must match the sequential in-process reference.
 
 use std::fs;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -37,7 +36,7 @@ use fasea::core::{ChurnSchedule, EventId};
 use fasea::datagen::{SyntheticConfig, SyntheticWorkload};
 use fasea::serve::{ClientConfig, ServeClient, Server, ServerConfig};
 use fasea::sim::{ArrangementService, DurableOptions, RoundPipeline};
-use fasea::store::{wal, FaultFile};
+use fasea::store::{wal, FaultFile, TempDir};
 use fasea::{DurableArrangementService, FsyncPolicy, ShardedArrangementService};
 
 const DIM: usize = 3;
@@ -50,12 +49,6 @@ fn workload() -> SyntheticWorkload {
         seed: 0x0009_717E_5EED,
         ..SyntheticConfig::default()
     })
-}
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fasea-pipe-par-{name}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
 }
 
 /// All seven policies, fresh per call so two runs start identically.
@@ -210,7 +203,7 @@ fn pipeline_depths_bit_equal_for_every_policy_oracle_and_churn() {
             for churned in [false, true] {
                 let schedule = churned.then_some(&churn);
                 let cell = format!("{name}/{oracle_name}/churn={churned}");
-                let ref_dir = tmp(&format!("depth-ref-{name}-{oracle_name}-{churned}"));
+                let ref_dir = TempDir::new("pipe-par-depth-ref");
                 let reference = {
                     let mut svc = DurableArrangementService::open(
                         &ref_dir,
@@ -222,12 +215,11 @@ fn pipeline_depths_bit_equal_for_every_policy_oracle_and_churn() {
                     run_sequential(&mut svc, &w, schedule, ROUNDS);
                     let d = digest_single(&svc);
                     drop(svc);
-                    fs::remove_dir_all(&ref_dir).unwrap();
                     d
                 };
 
                 for depth in [1usize, 2, 4, 8] {
-                    let dir = tmp(&format!("depth-{name}-{oracle_name}-{churned}-{depth}"));
+                    let dir = TempDir::new("pipe-par-depth");
                     let mut svc = DurableArrangementService::open(
                         &dir,
                         w.instance.clone(),
@@ -255,7 +247,6 @@ fn pipeline_depths_bit_equal_for_every_policy_oracle_and_churn() {
                         assert_eq!(stats.prefetch_hits, 0, "{cell}: depth 1 never prefetches");
                     }
                     drop(svc);
-                    fs::remove_dir_all(&dir).unwrap();
                 }
             }
         }
@@ -270,7 +261,7 @@ fn pipelined_group_commit_overlap_is_bit_equal() {
     const ROUNDS: u64 = 40;
     let w = workload();
     let churn = churn_schedule(ROUNDS);
-    let ref_dir = tmp("gc-ref");
+    let ref_dir = TempDir::new("pipe-par-gc-ref");
     let reference = {
         let mut svc = DurableArrangementService::open(
             &ref_dir,
@@ -282,10 +273,9 @@ fn pipelined_group_commit_overlap_is_bit_equal() {
         run_sequential(&mut svc, &w, Some(&churn), ROUNDS);
         let d = digest_single(&svc);
         drop(svc);
-        fs::remove_dir_all(&ref_dir).unwrap();
         d
     };
-    let dir = tmp("gc-pipe");
+    let dir = TempDir::new("pipe-par-gc-pipe");
     let mut svc = DurableArrangementService::open(
         &dir,
         w.instance.clone(),
@@ -302,7 +292,6 @@ fn pipelined_group_commit_overlap_is_bit_equal() {
     assert_eq!(stats.prefetch_hits, ROUNDS - 1);
     assert_eq!(stats.prefetch_recomputes, 0);
     svc.close().unwrap();
-    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -311,7 +300,7 @@ fn pipelined_sharded_backend_matches_sequential_single_actor() {
     let w = workload();
     let churn = churn_schedule(ROUNDS);
     for name in ["ucb", "ts"] {
-        let ref_dir = tmp(&format!("shard-ref-{name}"));
+        let ref_dir = TempDir::new("pipe-par-shard-ref");
         let reference = {
             let mut svc = DurableArrangementService::open(
                 &ref_dir,
@@ -323,11 +312,10 @@ fn pipelined_sharded_backend_matches_sequential_single_actor() {
             run_sequential(&mut svc, &w, Some(&churn), ROUNDS);
             let d = digest_single(&svc);
             drop(svc);
-            fs::remove_dir_all(&ref_dir).unwrap();
             d
         };
         for shards in [1usize, 2, 4] {
-            let dir = tmp(&format!("shard-pipe-{name}-{shards}"));
+            let dir = TempDir::new("pipe-par-shard-pipe");
             let mut svc = ShardedArrangementService::open(
                 &dir,
                 w.instance.clone(),
@@ -344,7 +332,6 @@ fn pipelined_sharded_backend_matches_sequential_single_actor() {
             );
             assert_eq!(stats.prefetch_recomputes, 0, "{name}/{shards}");
             svc.close().unwrap();
-            fs::remove_dir_all(&dir).unwrap();
         }
     }
 }
@@ -362,20 +349,19 @@ fn pipelined_kill_matrix_recovers_byte_identically() {
 
     // The uninterrupted sequential reference at the final horizon.
     let reference_final = {
-        let dir = tmp("kill-seq-ref");
+        let dir = TempDir::new("pipe-par-kill-seq-ref");
         let mut svc =
             DurableArrangementService::open(&dir, w.instance.clone(), policy_named("ts"), opts())
                 .unwrap();
         run_sequential(&mut svc, &w, Some(&churn), KILL_END);
         let d = digest_single(&svc);
         drop(svc);
-        fs::remove_dir_all(&dir).unwrap();
         d
     };
 
     // Crash image: a depth-4 pipelined run synced at KILL_ROUNDS, then
     // dropped without close.
-    let base = tmp("kill-base");
+    let base = TempDir::new("pipe-par-kill-base");
     let fingerprint = {
         let mut svc =
             DurableArrangementService::open(&base, w.instance.clone(), policy_named("ts"), opts())
@@ -388,7 +374,7 @@ fn pipelined_kill_matrix_recovers_byte_identically() {
     let (records, boundaries, torn) = wal::scan(&base, fingerprint).unwrap();
     assert!(torn.is_none());
     assert!(records.len() >= 2 * KILL_ROUNDS as usize);
-    let scratch = tmp("kill-scratch");
+    let scratch = TempDir::new("pipe-par-kill-scratch");
     for (k, (segment, offset)) in boundaries.iter().enumerate() {
         let _ = fs::remove_dir_all(&scratch);
         fs::create_dir_all(&scratch).unwrap();
@@ -418,8 +404,6 @@ fn pipelined_kill_matrix_recovers_byte_identically() {
         );
         drop(svc);
     }
-    fs::remove_dir_all(&base).unwrap();
-    let _ = fs::remove_dir_all(&scratch);
 }
 
 // ---- serving crash with concurrent rounds in flight ----
@@ -502,8 +486,7 @@ fn wire_reference(rounds: u64) -> (u64, u64, u64) {
 fn pipelined_server_crash_with_rounds_in_flight_loses_no_acked_round() {
     const ROUNDS: u64 = 90;
     const CRASH_AT: u64 = 40;
-    let dir = tmp("serve-crash");
-    fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("pipe-par-serve-crash");
     let w = workload();
 
     // Phase 1: drive to the crash round, then strand two rounds.
@@ -600,5 +583,4 @@ fn pipelined_server_crash_with_rounds_in_flight_loses_no_acked_round() {
 
     handle.initiate_shutdown();
     assert!(handle.join().close.error.is_none());
-    let _ = fs::remove_dir_all(&dir);
 }

@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use fasea::core::EventId;
 use fasea::serve::{ClientConfig, ServeClient, Server, ServerConfig, ServerHandle};
 use fasea::sim::{ArrangementService, DurableOptions};
+use fasea::store::TempDir;
 use fasea::{DurableArrangementService, FsyncPolicy};
 use fasea_experiments::serve_cmd::WorkloadSpec;
 
@@ -30,13 +31,6 @@ fn spec() -> WorkloadSpec {
         model_budget_mb: 0,
         ..WorkloadSpec::default()
     }
-}
-
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("fasea-serve-e2e-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 fn open_service(dir: &std::path::Path) -> DurableArrangementService {
@@ -149,7 +143,7 @@ fn server_triple(addr: &str) -> (u64, u64, u64) {
 
 #[test]
 fn concurrent_clients_match_in_process_run() {
-    let dir = temp_dir("parity");
+    let dir = TempDir::new("serve-e2e-parity");
     let handle = start_server(&dir);
     let addr = handle.local_addr().to_string();
     let fed = AtomicU64::new(0);
@@ -177,7 +171,6 @@ fn concurrent_clients_match_in_process_run() {
     assert!(report.close.error.is_none());
     assert_eq!(report.close.rounds_completed, ROUNDS);
     assert!(report.close.snapshot.is_some(), "drain must snapshot");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Optimistic concurrent admission (`pipeline_depth > 1`): concurrent
@@ -188,7 +181,7 @@ fn concurrent_clients_match_in_process_run() {
 /// and the `pipeline_depth` histogram).
 #[test]
 fn pipelined_admission_matches_sequential_and_reports_stats() {
-    let dir = temp_dir("pipelined");
+    let dir = TempDir::new("serve-e2e-pipelined");
     let handle = start_server_depth(&dir, 4);
     let addr = handle.local_addr().to_string();
     let fed = AtomicU64::new(0);
@@ -240,12 +233,11 @@ fn pipelined_admission_matches_sequential_and_reports_stats() {
     let report = handle.join();
     assert!(report.close.error.is_none());
     assert_eq!(report.close.rounds_completed, ROUNDS);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn crash_with_pending_round_resumes_over_the_wire() {
-    let dir = temp_dir("resume");
+    let dir = TempDir::new("serve-e2e-resume");
     let crash_at: u64 = 40;
 
     // Phase 1: a service dies with round `crash_at` proposed but not
@@ -302,5 +294,4 @@ fn crash_with_pending_round_resumes_over_the_wire() {
 
     handle.initiate_shutdown();
     assert!(handle.join().close.error.is_none());
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -38,7 +38,7 @@ use fasea::datagen::{SyntheticConfig, SyntheticWorkload};
 use fasea::serve::{ClientConfig, ServeClient, Server, ServerConfig};
 use fasea::shard::shard_fingerprint;
 use fasea::sim::{ArrangementService, DurableOptions};
-use fasea::store::{wal, FaultFile, Record};
+use fasea::store::{wal, FaultFile, Record, TempDir};
 use fasea::{DurableArrangementService, FsyncPolicy, ShardedArrangementService};
 
 const DIM: usize = 3;
@@ -51,12 +51,6 @@ fn workload() -> SyntheticWorkload {
         seed: 0x0005_AA2D_5EED,
         ..SyntheticConfig::default()
     })
-}
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fasea-shard-par-{name}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
 }
 
 /// Recursive copy — the sharded layout nests shard logs in
@@ -208,7 +202,7 @@ fn golden_parity_every_policy_every_shard_count() {
     let w = workload();
     for (name, _) in all_policies() {
         // Single-actor reference for this policy.
-        let ref_dir = tmp(&format!("golden-ref-{name}"));
+        let ref_dir = TempDir::new("shard-par-golden-ref");
         let reference = {
             let mut svc = DurableArrangementService::open(
                 &ref_dir,
@@ -220,12 +214,11 @@ fn golden_parity_every_policy_every_shard_count() {
             run_single(&mut svc, &w, ROUNDS);
             let d = digest_single(&svc);
             drop(svc);
-            fs::remove_dir_all(&ref_dir).unwrap();
             d
         };
 
         for shards in [1usize, 2, 4] {
-            let dir = tmp(&format!("golden-{name}-{shards}"));
+            let dir = TempDir::new("shard-par-golden");
             let mut svc = ShardedArrangementService::open(
                 &dir,
                 w.instance.clone(),
@@ -242,7 +235,6 @@ fn golden_parity_every_policy_every_shard_count() {
             );
             assert_counters_match_mirror(&svc, &format!("{name}/{shards}"));
             svc.close().unwrap();
-            fs::remove_dir_all(&dir).unwrap();
         }
     }
 }
@@ -250,7 +242,7 @@ fn golden_parity_every_policy_every_shard_count() {
 /// The shared fixture for the kill-matrix tests: a 2-shard reference
 /// run synced to disk, plus the final digest of its continuation.
 struct KillFixture {
-    base: PathBuf,
+    base: TempDir,
     w: SyntheticWorkload,
     reference_final: StateDigest,
     fingerprint: u64,
@@ -263,7 +255,7 @@ const KILL_END: u64 = 40;
 impl KillFixture {
     fn build(tag: &str) -> KillFixture {
         let w = workload();
-        let base = tmp(&format!("kill-base-{tag}"));
+        let base = TempDir::new(&format!("shard-par-kill-base-{tag}"));
         let fingerprint = {
             let mut svc = ShardedArrangementService::open(
                 &base,
@@ -280,7 +272,7 @@ impl KillFixture {
             // through round KILL_ROUNDS durable in all three logs.
         };
         let reference_final = {
-            let cont = tmp(&format!("kill-cont-{tag}"));
+            let cont = TempDir::new("shard-par-kill-cont");
             copy_tree(&base, &cont);
             let mut svc = ShardedArrangementService::open(
                 &cont,
@@ -293,7 +285,6 @@ impl KillFixture {
             run_sharded(&mut svc, &w, KILL_END);
             let d = digest_sharded(&svc);
             drop(svc);
-            fs::remove_dir_all(&cont).unwrap();
             d
         };
         KillFixture {
@@ -363,7 +354,7 @@ impl KillFixture {
 #[test]
 fn kill_matrix_every_shard_log_boundary() {
     let fx = KillFixture::build("shardlog");
-    let scratch = tmp("kill-shardlog-scratch");
+    let scratch = TempDir::new("shard-par-kill-shardlog-scratch");
     for s in 0..KILL_SHARDS {
         let shard_dir = fx.base.join(format!("shard-{s:03}"));
         let (records, boundaries, torn) =
@@ -389,8 +380,6 @@ fn kill_matrix_every_shard_log_boundary() {
             fx.recover_and_verify(&scratch, &format!("shard {s} cut at boundary {k}"), None);
         }
     }
-    fs::remove_dir_all(&fx.base).unwrap();
-    fs::remove_dir_all(&scratch).unwrap();
 }
 
 #[test]
@@ -400,7 +389,7 @@ fn kill_matrix_every_coordinator_boundary() {
     let (records, boundaries, torn) = wal::scan(&coord_dir, fx.fingerprint).unwrap();
     assert_eq!(records.len(), 2 * KILL_ROUNDS as usize);
     assert!(torn.is_none());
-    let scratch = tmp("kill-coord-scratch");
+    let scratch = TempDir::new("shard-par-kill-coord-scratch");
     // Cutting the coordinator at boundary 2t+1 keeps round t's Propose
     // but loses its Feedback while both shards hold the prepare *and*
     // commit for t — the "shard ahead" image. Recovery must not repair
@@ -444,8 +433,6 @@ fn kill_matrix_every_coordinator_boundary() {
         assert_counters_match_mirror(&svc, &format!("coordinator cut {k} (final)"));
         drop(svc);
     }
-    fs::remove_dir_all(&fx.base).unwrap();
-    fs::remove_dir_all(&scratch).unwrap();
 }
 
 #[test]
@@ -470,7 +457,7 @@ fn in_doubt_transactions_resolve_by_coordinator_decision() {
         prepare_cut.push(cuts);
     }
 
-    let scratch = tmp("indoubt-scratch");
+    let scratch = TempDir::new("shard-par-indoubt-scratch");
     let rounds: Vec<u64> = (0..KILL_ROUNDS).step_by(7).collect();
     for &t in &rounds {
         // Pick a shard that actually prepared round t (a round may
@@ -508,8 +495,6 @@ fn in_doubt_transactions_resolve_by_coordinator_decision() {
             );
         }
     }
-    fs::remove_dir_all(&fx.base).unwrap();
-    let _ = fs::remove_dir_all(&scratch);
 }
 
 // ---- oracle-equivalence gate ----
@@ -526,7 +511,7 @@ fn greedy_oracle_through_trait_is_bit_equal_across_threads_and_shards() {
     const ROUNDS: u64 = 40;
     let w = workload();
     for (name, _) in all_policies() {
-        let ref_dir = tmp(&format!("oracle-ref-{name}"));
+        let ref_dir = TempDir::new("shard-par-oracle-ref");
         let reference = {
             let mut svc = DurableArrangementService::open(
                 &ref_dir,
@@ -538,7 +523,6 @@ fn greedy_oracle_through_trait_is_bit_equal_across_threads_and_shards() {
             run_single(&mut svc, &w, ROUNDS);
             let d = digest_single(&svc);
             drop(svc);
-            fs::remove_dir_all(&ref_dir).unwrap();
             d
         };
 
@@ -546,7 +530,7 @@ fn greedy_oracle_through_trait_is_bit_equal_across_threads_and_shards() {
             let trait_opts = opts()
                 .with_oracle(OracleOptions::greedy())
                 .with_score_threads(score_threads);
-            let dir = tmp(&format!("oracle-single-{name}-{score_threads}"));
+            let dir = TempDir::new("shard-par-oracle-single");
             let mut svc = DurableArrangementService::open(
                 &dir,
                 w.instance.clone(),
@@ -561,10 +545,9 @@ fn greedy_oracle_through_trait_is_bit_equal_across_threads_and_shards() {
                 "{name}: trait greedy at {score_threads} scoring threads diverged"
             );
             drop(svc);
-            fs::remove_dir_all(&dir).unwrap();
 
             for shards in [1usize, 2, 4] {
-                let dir = tmp(&format!("oracle-shard-{name}-{score_threads}-{shards}"));
+                let dir = TempDir::new("shard-par-oracle-shard");
                 let mut svc = ShardedArrangementService::open(
                     &dir,
                     w.instance.clone(),
@@ -582,7 +565,6 @@ fn greedy_oracle_through_trait_is_bit_equal_across_threads_and_shards() {
                     "{name}: trait greedy over {shards} shards / {score_threads} threads diverged"
                 );
                 svc.close().unwrap();
-                fs::remove_dir_all(&dir).unwrap();
             }
         }
     }
@@ -599,7 +581,7 @@ fn tabu_oracle_shards_identically_to_single_actor() {
     let tabu_opts = || opts().with_oracle(OracleOptions::tabu());
 
     let single = {
-        let dir = tmp("tabu-single");
+        let dir = TempDir::new("shard-par-tabu-single");
         let mut svc = DurableArrangementService::open(
             &dir,
             w.instance.clone(),
@@ -610,18 +592,16 @@ fn tabu_oracle_shards_identically_to_single_actor() {
         run_single(&mut svc, &w, ROUNDS);
         let d = digest_single(&svc);
         drop(svc);
-        fs::remove_dir_all(&dir).unwrap();
         d
     };
     let greedy = {
-        let dir = tmp("tabu-greedy-ref");
+        let dir = TempDir::new("shard-par-tabu-greedy-ref");
         let mut svc =
             DurableArrangementService::open(&dir, w.instance.clone(), policy_named("ts"), opts())
                 .unwrap();
         run_single(&mut svc, &w, ROUNDS);
         let d = digest_single(&svc);
         drop(svc);
-        fs::remove_dir_all(&dir).unwrap();
         d
     };
     assert_ne!(
@@ -629,7 +609,7 @@ fn tabu_oracle_shards_identically_to_single_actor() {
         "tabu must actually change decisions on this workload"
     );
 
-    let dir = tmp("tabu-sharded");
+    let dir = TempDir::new("shard-par-tabu-sharded");
     let mut svc = ShardedArrangementService::open(
         &dir,
         w.instance.clone(),
@@ -646,7 +626,6 @@ fn tabu_oracle_shards_identically_to_single_actor() {
     );
     assert_counters_match_mirror(&svc, "tabu/2");
     svc.close().unwrap();
-    fs::remove_dir_all(&dir).unwrap();
 }
 
 // ---- event churn: golden determinism under kills ----
@@ -724,19 +703,18 @@ fn churned_kill_matrix_recovers_byte_identically() {
 
     // Single-actor churned reference.
     let single_final = {
-        let dir = tmp("churn-single");
+        let dir = TempDir::new("shard-par-churn-single");
         let mut svc =
             DurableArrangementService::open(&dir, w.instance.clone(), policy_named("ts"), opts())
                 .unwrap();
         run_single_churned(&mut svc, &w, &churn, KILL_END);
         let d = digest_single(&svc);
         drop(svc);
-        fs::remove_dir_all(&dir).unwrap();
         d
     };
 
     // Churned sharded crash image at KILL_ROUNDS + its continuation.
-    let base = tmp("churn-kill-base");
+    let base = TempDir::new("shard-par-churn-kill-base");
     let fingerprint = {
         let mut svc = ShardedArrangementService::open(
             &base,
@@ -751,7 +729,7 @@ fn churned_kill_matrix_recovers_byte_identically() {
         svc.fingerprint()
     };
     let reference_final = {
-        let cont = tmp("churn-kill-cont");
+        let cont = TempDir::new("shard-par-churn-kill-cont");
         copy_tree(&base, &cont);
         let mut svc = ShardedArrangementService::open(
             &cont,
@@ -764,7 +742,6 @@ fn churned_kill_matrix_recovers_byte_identically() {
         run_sharded_churned(&mut svc, &w, &churn, KILL_END);
         let d = digest_sharded(&svc);
         drop(svc);
-        fs::remove_dir_all(&cont).unwrap();
         d
     };
     assert_eq!(
@@ -775,7 +752,7 @@ fn churned_kill_matrix_recovers_byte_identically() {
     // Kill at every boundary of every log. Lifecycle records appear in
     // both the shard logs (the owning shard's durable copy) and the
     // coordinator log, so this sweep covers every new record type.
-    let scratch = tmp("churn-kill-scratch");
+    let scratch = TempDir::new("shard-par-churn-kill-scratch");
     let mut cut_points: Vec<(PathBuf, PathBuf, u64, String)> = Vec::new();
     for s in 0..KILL_SHARDS {
         let shard_dir = base.join(format!("shard-{s:03}"));
@@ -841,8 +818,6 @@ fn churned_kill_matrix_recovers_byte_identically() {
         assert_counters_match_mirror(&svc, &format!("{context} (final)"));
         drop(svc);
     }
-    fs::remove_dir_all(&base).unwrap();
-    let _ = fs::remove_dir_all(&scratch);
 }
 
 // ---- sharded serving over the wire ----
@@ -935,8 +910,7 @@ fn wire_reference(rounds: u64) -> (u64, u64, u64) {
 fn sharded_server_crash_resume_loses_no_acked_round() {
     const ROUNDS: u64 = 120;
     const CRASH_AT: u64 = 50;
-    let dir = tmp("serve-crash");
-    fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("shard-par-serve-crash");
     let w = serve_spec_workload();
 
     // Phase 1: a sharded server takes load over the wire, then the
@@ -1040,5 +1014,4 @@ fn sharded_server_crash_resume_loses_no_acked_round() {
 
     handle.initiate_shutdown();
     assert!(handle.join().close.error.is_none());
-    let _ = fs::remove_dir_all(&dir);
 }

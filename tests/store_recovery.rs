@@ -29,10 +29,10 @@ use fasea::core::{
     Arrangement, ConflictGraph, ContextMatrix, ProblemInstance, ProblemMode, UserArrival,
 };
 use fasea::sim::DurableOptions;
-use fasea::store::{wal, FaultFile, StoreError};
+use fasea::store::{wal, FaultFile, StoreError, TempDir};
 use fasea::{DurableArrangementService, FsyncPolicy, ServiceError};
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 const NUM_EVENTS: usize = 8;
 const DIM: usize = 3;
@@ -93,10 +93,6 @@ fn copy_dir(src: &Path, dst: &Path) {
     }
 }
 
-fn tmp(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("fasea-recovery-{name}-{}", std::process::id()))
-}
-
 /// Everything that must survive a crash, captured from a live service.
 #[derive(Debug, Clone, PartialEq)]
 struct StateDigest {
@@ -125,8 +121,7 @@ fn digest(svc: &DurableArrangementService) -> StateDigest {
 #[test]
 fn kill_at_every_record_boundary_recovers_exactly() {
     const ROUNDS: u64 = 500;
-    let ref_dir = tmp("kill-ref");
-    let _ = fs::remove_dir_all(&ref_dir);
+    let ref_dir = TempDir::new("recovery-kill-ref");
     // One segment so the whole history is a single kill target.
     let opts = DurableOptions::new()
         .with_segment_bytes(u64::MAX)
@@ -159,7 +154,7 @@ fn kill_at_every_record_boundary_recovers_exactly() {
     assert!(torn.is_none());
     let reference_final = expected.last().unwrap().clone();
 
-    let scratch = tmp("kill-scratch");
+    let scratch = TempDir::new("recovery-kill-scratch");
     for (k, (segment, offset)) in boundaries.iter().enumerate() {
         // Kill the process after exactly k records reached the disk.
         copy_dir(&ref_dir, &scratch);
@@ -200,9 +195,6 @@ fn kill_at_every_record_boundary_recovers_exactly() {
             );
         }
     }
-
-    fs::remove_dir_all(&ref_dir).unwrap();
-    fs::remove_dir_all(&scratch).unwrap();
 }
 
 #[test]
@@ -221,8 +213,7 @@ fn group_commit_kill_matrix_recovers_exactly() {
     // acknowledges the way the actor does (wait for the feedback LSN to
     // be covered by the watermark) and records how much history was
     // necessarily on disk at that moment.
-    let ref_dir = tmp("gc-kill-ref");
-    let _ = fs::remove_dir_all(&ref_dir);
+    let ref_dir = TempDir::new("recovery-gc-kill-ref");
     let mut expected: Vec<StateDigest> = Vec::with_capacity(2 * ROUNDS as usize + 1);
     // (records on disk when the ack was released, rounds acked by then)
     let mut acked: Vec<(u64, u64)> = Vec::new();
@@ -256,8 +247,7 @@ fn group_commit_kill_matrix_recovers_exactly() {
     // The pipeline must write the *same log* a direct synchronous run
     // writes — same records, same framing, byte for byte — so every
     // fault-matrix result for the direct WAL carries over verbatim.
-    let direct_dir = tmp("gc-kill-direct");
-    let _ = fs::remove_dir_all(&direct_dir);
+    let direct_dir = TempDir::new("recovery-gc-kill-direct");
     let direct_opts = DurableOptions::new()
         .with_segment_bytes(u64::MAX)
         .with_fsync(FsyncPolicy::Never)
@@ -282,7 +272,6 @@ fn group_commit_kill_matrix_recovers_exactly() {
         fs::read(wal_file(&direct_dir)).unwrap(),
         "group-commit log must be byte-identical to the direct log"
     );
-    fs::remove_dir_all(&direct_dir).unwrap();
 
     let fingerprint = {
         let svc =
@@ -294,7 +283,7 @@ fn group_commit_kill_matrix_recovers_exactly() {
     assert!(torn.is_none());
     let reference_final = expected.last().unwrap().clone();
 
-    let scratch = tmp("gc-kill-scratch");
+    let scratch = TempDir::new("recovery-gc-kill-scratch");
     for (k, (segment, offset)) in boundaries.iter().enumerate() {
         // Kill with exactly k records on disk — every reachable crash
         // image of the pipelined run is some such prefix.
@@ -364,9 +353,6 @@ fn group_commit_kill_matrix_recovers_exactly() {
             "mid-record cut inside record {k} must land on boundary {k}"
         );
     }
-
-    fs::remove_dir_all(&ref_dir).unwrap();
-    fs::remove_dir_all(&scratch).unwrap();
 }
 
 #[test]
@@ -381,8 +367,7 @@ fn group_commit_snapshot_crash_points_recover() {
 
     // Base image: a multi-segment group-commit log up to round 40,
     // dropped without close so no snapshot exists yet.
-    let base = tmp("gc-snap-base");
-    let _ = fs::remove_dir_all(&base);
+    let base = TempDir::new("recovery-gc-snap-base");
     let at_crash = {
         let mut svc = DurableArrangementService::open(&base, instance(), policy(), opts).unwrap();
         run_rounds(&mut svc, CRASH_AT);
@@ -392,13 +377,12 @@ fn group_commit_snapshot_crash_points_recover() {
 
     // Reference: continue the base image untouched to the end.
     let reference_final = {
-        let cont = tmp("gc-snap-cont");
+        let cont = TempDir::new("recovery-gc-snap-cont");
         copy_dir(&base, &cont);
         let mut svc = DurableArrangementService::open(&cont, instance(), policy(), opts).unwrap();
         run_rounds(&mut svc, ROUNDS);
         let d = digest(&svc);
         drop(svc);
-        fs::remove_dir_all(&cont).unwrap();
         d
     };
 
@@ -406,7 +390,7 @@ fn group_commit_snapshot_crash_points_recover() {
     // temp file. The orphan `.tmp-<pid>` must be ignored — recovery
     // replays the intact WAL as if no snapshot was ever attempted.
     {
-        let scratch = tmp("gc-snap-prerename");
+        let scratch = TempDir::new("recovery-gc-snap-prerename");
         copy_dir(&base, &scratch);
         fs::write(
             scratch.join(format!("snap-{:020}.tmp-{}", 2 * CRASH_AT, 12345)),
@@ -443,7 +427,6 @@ fn group_commit_snapshot_crash_points_recover() {
         let svc = DurableArrangementService::open(&scratch, instance(), policy(), opts).unwrap();
         assert_eq!(digest(&svc), reference_final);
         drop(svc);
-        fs::remove_dir_all(&scratch).unwrap();
     }
 
     // Crash *after* the rename but before WAL compaction: the snapshot
@@ -451,14 +434,14 @@ fn group_commit_snapshot_crash_points_recover() {
     // disk. Recovery must load the snapshot and skip every record below
     // its seq instead of double-applying them.
     {
-        let snap_src = tmp("gc-snap-src");
+        let snap_src = TempDir::new("recovery-gc-snap-src");
         copy_dir(&base, &snap_src);
         let snap_path = {
             let mut svc =
                 DurableArrangementService::open(&snap_src, instance(), policy(), opts).unwrap();
             svc.snapshot().unwrap()
         };
-        let scratch = tmp("gc-snap-postrename");
+        let scratch = TempDir::new("recovery-gc-snap-postrename");
         copy_dir(&base, &scratch);
         fs::copy(&snap_path, scratch.join(snap_path.file_name().unwrap())).unwrap();
         let mut svc =
@@ -471,18 +454,13 @@ fn group_commit_snapshot_crash_points_recover() {
         run_rounds(&mut svc, ROUNDS);
         assert_eq!(digest(&svc), reference_final);
         drop(svc);
-        fs::remove_dir_all(&snap_src).unwrap();
-        fs::remove_dir_all(&scratch).unwrap();
     }
-
-    fs::remove_dir_all(&base).unwrap();
 }
 
 #[test]
 fn fault_matrix_torn_writes_bit_flips_and_garbage() {
     const ROUNDS: u64 = 40;
-    let ref_dir = tmp("fault-ref");
-    let _ = fs::remove_dir_all(&ref_dir);
+    let ref_dir = TempDir::new("recovery-fault-ref");
     let opts = DurableOptions::new()
         .with_segment_bytes(u64::MAX)
         .with_fsync(FsyncPolicy::Never)
@@ -501,7 +479,7 @@ fn fault_matrix_torn_writes_bit_flips_and_garbage() {
         .file_name();
     let full_len = fs::metadata(ref_dir.join(&segment)).unwrap().len();
 
-    let scratch = tmp("fault-scratch");
+    let scratch = TempDir::new("recovery-fault-scratch");
     let reopen = |dir: &Path| DurableArrangementService::open(dir, instance(), policy(), opts);
 
     // Torn writes at a spread of byte lengths. A file cut inside its
@@ -556,17 +534,13 @@ fn fault_matrix_torn_writes_bit_flips_and_garbage() {
         .unwrap();
     let svc = reopen(&scratch).unwrap();
     assert_eq!(svc.rounds_completed(), ROUNDS);
-
-    fs::remove_dir_all(&ref_dir).unwrap();
-    fs::remove_dir_all(&scratch).unwrap();
 }
 
 #[test]
 fn corruption_before_acknowledged_history_is_rejected() {
     // Multi-segment log; damage in a *non-final* segment must be a
     // refusal, not a silent truncation that forks history.
-    let dir = tmp("nonfinal");
-    let _ = fs::remove_dir_all(&dir);
+    let dir = TempDir::new("recovery-nonfinal");
     let opts = DurableOptions::new()
         .with_segment_bytes(2048)
         .with_fsync(FsyncPolicy::Never)
@@ -594,7 +568,6 @@ fn corruption_before_acknowledged_history_is_rejected() {
         Err(ServiceError::Store(StoreError::CorruptSegment { .. })) => {}
         other => panic!("expected CorruptSegment, got {:?}", other.map(|_| ())),
     }
-    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -611,8 +584,7 @@ fn golden_crashed_run_matches_uninterrupted_run_exactly() {
         .with_snapshots_kept(2);
 
     // Uninterrupted reference.
-    let dir_a = tmp("golden-a");
-    let _ = fs::remove_dir_all(&dir_a);
+    let dir_a = TempDir::new("recovery-golden-a");
     let reference = {
         let mut svc = DurableArrangementService::open(&dir_a, instance(), policy(), opts).unwrap();
         while svc.rounds_completed() < ROUNDS {
@@ -625,8 +597,7 @@ fn golden_crashed_run_matches_uninterrupted_run_exactly() {
     };
 
     // Same seed, crashed twice: once between rounds, once mid-proposal.
-    let dir_b = tmp("golden-b");
-    let _ = fs::remove_dir_all(&dir_b);
+    let dir_b = TempDir::new("recovery-golden-b");
     {
         let mut svc = DurableArrangementService::open(&dir_b, instance(), policy(), opts).unwrap();
         while svc.rounds_completed() < 137 {
@@ -671,6 +642,4 @@ fn golden_crashed_run_matches_uninterrupted_run_exactly() {
     // Byte-identical regret accounting *and* policy state: the crashed
     // run is indistinguishable from the uninterrupted one.
     assert_eq!(crashed, reference);
-    fs::remove_dir_all(&dir_a).unwrap();
-    fs::remove_dir_all(&dir_b).unwrap();
 }
