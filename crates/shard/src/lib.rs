@@ -6,9 +6,10 @@
 //! components intact ([`ShardPlan`]) — and runs one single-writer
 //! actor per shard, each owning the authoritative capacity counters of
 //! its members plus its own [`fasea_store::GroupCommitWal`] transaction
-//! log. A coordinator (the unchanged
-//! [`fasea_sim::DurableArrangementService`]) keeps the policy, the
-//! round WAL and the snapshots; two operations cross the boundary:
+//! log. A coordinator (a [`fasea_sim::DurableArrangementService`] with
+//! the shards installed as its [`fasea_sim::CommitParticipant`] and
+//! routing oracle) keeps the policy, the round WAL and the snapshots;
+//! two operations cross the boundary:
 //!
 //! * **Routing** — the configured [`fasea_bandit::Oracle`]'s candidate
 //!   ranking fans out as per-shard `subset_top_k` queries and merges

@@ -26,6 +26,12 @@ cargo build -q --examples
 echo "==> cargo bench --no-run"
 cargo bench -q --no-run
 
+# The repository benchmark (perfbench/, a cargo workspace of its own)
+# builds against the crates' public API, so an API change it depends on
+# fails here rather than in the benchmark run.
+echo "==> cargo build --release (perfbench)"
+cargo build -q --release --manifest-path perfbench/Cargo.toml
+
 # Smoke the scoring hot path (~2s): exercises the legacy-vs-batched and
 # serial-vs-parallel bit-equality assertions (including the |V| = 100k
 # and 1M ScorePool cells) with a tiny time budget. Deliberately does NOT
