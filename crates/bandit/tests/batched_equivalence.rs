@@ -3,9 +3,9 @@
 //! Before the workspace redesign, policies scored one event at a time:
 //! clone `θ̂`, then per event `xᵀθ̂ + α·√(xᵀY⁻¹x)` through scalar calls.
 //! The batched kernels were written to preserve the exact per-row
-//! summation order, so the agreement here is checked to 1e-12 — and in
-//! practice is bit-exact, which the determinism/recovery machinery
-//! relies on.
+//! summation order, so UCB widths and scores are checked bit-for-bit
+//! (the determinism/recovery machinery relies on it), including at the
+//! `scoring_hot_path` bench's shapes; Exploit is checked to 1e-12.
 
 use fasea_bandit::{Exploit, LinUcb, Policy, RidgeEstimator, SelectionView};
 use fasea_core::{Arrangement, ConflictGraph, ContextMatrix, EventId, Feedback};
@@ -22,6 +22,16 @@ impl XorShift {
         (self.0 >> 11) as f64 / (1u64 << 53) as f64
     }
 }
+
+/// The `scoring_hot_path` bench grid below |V| = 100k, as `(|V|, d)`.
+const BENCH_SHAPES: [(usize, usize); 6] = [
+    (100, 5),
+    (100, 20),
+    (1_000, 5),
+    (1_000, 20),
+    (10_000, 5),
+    (10_000, 20),
+];
 
 fn random_contexts(rng: &mut XorShift, n: usize, d: usize) -> ContextMatrix {
     let data: Vec<f64> = (0..n * d).map(|_| rng.next_f64() - 0.3).collect();
@@ -51,9 +61,9 @@ fn legacy_exploit_scores(estimator: &RidgeEstimator, contexts: &ContextMatrix) -
 #[test]
 fn batched_ucb_matches_legacy_scalar_path_across_random_cases() {
     let mut rng = XorShift(0x5EED_CAFE);
-    for case in 0..40u64 {
-        let n = 5 + (case as usize % 4) * 17; // 5..56 events
-        let d = 2 + (case as usize % 5); // 2..6 dims
+    // 5..56 events x 2..6 dims, then the bench's shapes.
+    let random_shapes = (0..40usize).map(|case| (5 + (case % 4) * 17, 2 + case % 5));
+    for (case, (n, d)) in random_shapes.chain(BENCH_SHAPES).enumerate() {
         let mut ucb = LinUcb::new(d, 1.0, 2.0);
         let conflicts = ConflictGraph::new(n);
         let remaining = vec![100u32; n];
@@ -91,9 +101,10 @@ fn batched_ucb_matches_legacy_scalar_path_across_random_cases() {
         let batched = ucb.last_scores().expect("scores after select");
         assert_eq!(batched.len(), legacy.len());
         for (v, (b, l)) in batched.iter().zip(&legacy).enumerate() {
-            assert!(
-                (b - l).abs() <= 1e-12,
-                "case {case}, event {v}: batched {b} vs legacy {l}"
+            assert_eq!(
+                b.to_bits(),
+                l.to_bits(),
+                "case {case} ({n}x{d}), event {v}: batched {b} vs legacy {l}"
             );
         }
     }
@@ -146,25 +157,25 @@ fn batched_exploit_matches_legacy_scalar_path() {
 
 #[test]
 fn batched_ucb_width_pass_is_bit_exact_with_scalar_widths() {
-    // Stronger than the 1e-12 contract: the batched width kernel keeps
-    // the per-row summation order, so it is bit-identical to the scalar
-    // `confidence_width` calls.
+    // The batched width kernel keeps the per-row summation order, so it
+    // is bit-identical to the scalar `confidence_width` calls.
     let mut rng = XorShift(0xBEEF);
-    let (n, d) = (33, 5);
-    let mut est = RidgeEstimator::new(d, 1.0);
-    for _ in 0..50 {
-        let x: Vec<f64> = (0..d).map(|_| rng.next_f64()).collect();
-        est.observe(&x, rng.next_f64().round()).unwrap();
-    }
-    let ctx = random_contexts(&mut rng, n, d);
-    let mut batched = vec![0.0; n];
-    est.widths_into(ctx.as_slice(), &mut batched);
-    for (v, b) in batched.iter().enumerate() {
-        let scalar = est.confidence_width(ctx.context(EventId(v)));
-        assert_eq!(
-            b.to_bits(),
-            scalar.to_bits(),
-            "event {v}: batched width differs in bits"
-        );
+    for (n, d) in [(33, 5)].into_iter().chain(BENCH_SHAPES) {
+        let mut est = RidgeEstimator::new(d, 1.0);
+        for _ in 0..50 {
+            let x: Vec<f64> = (0..d).map(|_| rng.next_f64()).collect();
+            est.observe(&x, rng.next_f64().round()).unwrap();
+        }
+        let ctx = random_contexts(&mut rng, n, d);
+        let mut batched = vec![0.0; n];
+        est.widths_into(ctx.as_slice(), &mut batched);
+        for (v, b) in batched.iter().enumerate() {
+            let scalar = est.confidence_width(ctx.context(EventId(v)));
+            assert_eq!(
+                b.to_bits(),
+                scalar.to_bits(),
+                "{n}x{d}, event {v}: batched width differs in bits"
+            );
+        }
     }
 }

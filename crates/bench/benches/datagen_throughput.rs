@@ -2,37 +2,38 @@
 //! every round (|V|·d draws plus row normalisation), so its cost bounds
 //! the whole simulation's overhead budget.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use fasea_bench::harness::{budget, fixed, time_ns, Table};
 use fasea_datagen::{RealDataset, SyntheticConfig, SyntheticWorkload, ValueDistribution};
-use std::hint::black_box;
 
-fn bench_arrival_generation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("arrival_generation");
-    for &(n, d) in &[(100usize, 20usize), (500, 20), (1000, 20), (500, 5)] {
+fn main() {
+    let budget = budget();
+    let mut table = Table::new("datagen_throughput", "ns_per_call");
+    // `elements` is the number of context values one call draws, where
+    // that is a meaningful throughput denominator.
+    let mut push = |op: &'static str, case: String, elements: Option<usize>, ns: f64| {
+        table.push(vec![
+            ("op", op.into()),
+            ("case", case.into()),
+            ("elements", elements.into()),
+            ("call_ns", fixed(ns, 1)),
+        ]);
+    };
+
+    for (n, d) in [(100usize, 20usize), (500, 20), (1000, 20), (500, 5)] {
         let workload = SyntheticWorkload::generate(SyntheticConfig {
             num_events: n,
             dim: d,
             seed: 1,
             ..Default::default()
         });
-        group.throughput(Throughput::Elements((n * d) as u64));
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("v{n}_d{d}")),
-            &(n, d),
-            |b, _| {
-                let mut t = 0u64;
-                b.iter(|| {
-                    t += 1;
-                    black_box(workload.arrivals.arrival(t).capacity)
-                })
-            },
-        );
+        let mut t = 0u64;
+        let ns = time_ns(budget, || {
+            t += 1;
+            workload.arrivals.arrival(t).capacity
+        });
+        push("arrival_generation", format!("v{n}_d{d}"), Some(n * d), ns);
     }
-    group.finish();
-}
 
-fn bench_distributions(c: &mut Criterion) {
-    let mut group = c.benchmark_group("distribution_fill");
     let mut rng = fasea_stats::rng_from_seed(3);
     let mut buf = vec![0.0; 20];
     for dist in [
@@ -41,33 +42,24 @@ fn bench_distributions(c: &mut Criterion) {
         ValueDistribution::Power,
         ValueDistribution::Shuffle,
     ] {
-        group.bench_function(dist.label(), |b| {
-            b.iter(|| {
-                dist.fill(&mut rng, &mut buf);
-                black_box(buf[0])
-            })
+        let ns = time_ns(budget, || {
+            dist.fill(&mut rng, &mut buf);
+            buf[0]
         });
+        push(
+            "distribution_fill",
+            dist.label().to_string(),
+            Some(buf.len()),
+            ns,
+        );
     }
-    group.finish();
-}
 
-fn bench_real_dataset(c: &mut Criterion) {
-    c.bench_function("real_dataset_generate", |b| {
-        b.iter(|| black_box(RealDataset::generate(2016).num_events()))
-    });
+    let ns = time_ns(budget, || RealDataset::generate(2016).num_events());
+    push("real_dataset", "generate".into(), None, ns);
     let dataset = RealDataset::generate(2016);
-    c.bench_function("real_dataset_contexts_for_user", |b| {
-        b.iter(|| black_box(dataset.contexts_for(0).num_events()))
-    });
-    c.bench_function("real_dataset_full_knowledge_mis", |b| {
-        b.iter(|| black_box(dataset.full_knowledge(1)))
-    });
+    let ns = time_ns(budget, || dataset.contexts_for(0).num_events());
+    push("real_dataset", "contexts_for_user".into(), None, ns);
+    let ns = time_ns(budget, || dataset.full_knowledge(1));
+    push("real_dataset", "full_knowledge_mis".into(), None, ns);
+    table.finish();
 }
-
-criterion_group!(
-    benches,
-    bench_arrival_generation,
-    bench_distributions,
-    bench_real_dataset
-);
-criterion_main!(benches);

@@ -4,41 +4,22 @@
 //! Expected shape (paper): every algorithm slows as d grows; TS pays an
 //! extra O(d³) posterior sample, UCB an O(d²)-per-event bound.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fasea_bandit::SelectionView;
-use fasea_bench::{policy_by_name, RoundFixture, POLICY_NAMES};
-use fasea_core::Feedback;
-use std::hint::black_box;
+use fasea_bench::harness::{budget, fixed, Table};
+use fasea_bench::policy_round_ns;
 
-fn bench_dimension_latency(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dimension_latency");
-    group.sample_size(20);
-    for &dim in &[1usize, 5, 10, 15, 20] {
-        let fixture = RoundFixture::new(500, dim);
-        let remaining: Vec<u32> = vec![u32::MAX; 500];
-        for name in POLICY_NAMES {
-            let mut policy = policy_by_name(name, dim);
-            let mut t = 0u64;
-            group.bench_with_input(BenchmarkId::new(name, dim), &dim, |b, _| {
-                b.iter(|| {
-                    let view = SelectionView {
-                        t,
-                        user_capacity: 3,
-                        contexts: &fixture.arrival.contexts,
-                        conflicts: fixture.workload.instance.conflicts(),
-                        remaining: &remaining,
-                    };
-                    let arrangement = policy.select(&view);
-                    let fb = Feedback::new(vec![true; arrangement.len()]);
-                    policy.observe(t, &fixture.arrival.contexts, &arrangement, &fb);
-                    t += 1;
-                    black_box(arrangement.len())
-                })
-            });
+const NUM_EVENTS: usize = 500;
+
+fn main() {
+    let budget = budget();
+    let mut table = Table::new("dimension_latency", "ns_per_round").meta("num_events", NUM_EVENTS);
+    for dim in [1usize, 5, 10, 15, 20] {
+        for (policy, round_ns) in policy_round_ns(NUM_EVENTS, dim, true, budget) {
+            table.push(vec![
+                ("policy", policy.into()),
+                ("dim", dim.into()),
+                ("round_ns", fixed(round_ns, 1)),
+            ]);
         }
     }
-    group.finish();
+    table.finish();
 }
-
-criterion_group!(benches, bench_dimension_latency);
-criterion_main!(benches);

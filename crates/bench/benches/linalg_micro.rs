@@ -1,9 +1,8 @@
 //! Linear-algebra micro-benchmarks at bandit-relevant dimensions
 //! (d ≤ 20 in the paper; 64 included as headroom).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use fasea_bench::harness::{budget, fixed, time_ns, Table};
 use fasea_linalg::{Cholesky, Matrix, ShermanMorrisonInverse, Vector};
-use std::hint::black_box;
 
 fn spd(d: usize) -> Matrix {
     let mut y = Matrix::scaled_identity(d, 1.0);
@@ -14,52 +13,49 @@ fn spd(d: usize) -> Matrix {
     y
 }
 
-fn bench_cholesky(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cholesky_factor");
-    for &d in &[5usize, 10, 20, 64] {
+fn main() {
+    let budget = budget();
+    let mut table = Table::new("linalg_micro", "ns_per_call");
+    let mut push = |op: &'static str, d: usize, ns: f64| {
+        table.push(vec![
+            ("op", op.into()),
+            ("dim", d.into()),
+            ("call_ns", fixed(ns, 1)),
+        ]);
+    };
+    let dims = [5usize, 10, 20, 64];
+
+    for d in dims {
         let y = spd(d);
-        group.bench_with_input(BenchmarkId::from_parameter(d), &d, |b, _| {
-            b.iter(|| black_box(Cholesky::factor(&y).unwrap()))
-        });
+        push(
+            "cholesky_factor",
+            d,
+            time_ns(budget, || Cholesky::factor(&y).unwrap()),
+        );
     }
-    group.finish();
-}
 
-fn bench_sherman_morrison_update(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sherman_morrison_update");
-    for &d in &[5usize, 10, 20, 64] {
+    for d in dims {
         let x = Vector::from_fn(d, |i| (i as f64 * 0.37).sin() / (d as f64).sqrt());
-        group.bench_with_input(BenchmarkId::from_parameter(d), &d, |b, _| {
-            let mut sm = ShermanMorrisonInverse::new(d, 1.0);
-            b.iter(|| {
-                sm.rank1_update(&x).unwrap();
-                black_box(sm.update_count())
-            })
+        let mut sm = ShermanMorrisonInverse::new(d, 1.0);
+        let ns = time_ns(budget, || {
+            sm.rank1_update(&x).unwrap();
+            sm.update_count()
         });
+        push("sherman_morrison_update", d, ns);
     }
-    group.finish();
-}
 
-fn bench_quadratic_form(c: &mut Criterion) {
-    let mut group = c.benchmark_group("inv_quadratic_form");
-    for &d in &[5usize, 10, 20, 64] {
+    for d in dims {
         let mut sm = ShermanMorrisonInverse::new(d, 1.0);
         for k in 0..d {
             let x = Vector::from_fn(d, |i| ((i + k) % 5) as f64 / 5.0);
             sm.rank1_update(&x).unwrap();
         }
         let probe = Vector::from_fn(d, |i| (i as f64 * 0.61).cos() / (d as f64).sqrt());
-        group.bench_with_input(BenchmarkId::from_parameter(d), &d, |b, _| {
-            b.iter(|| black_box(sm.inv_quadratic_form(&probe)))
-        });
+        push(
+            "inv_quadratic_form",
+            d,
+            time_ns(budget, || sm.inv_quadratic_form(&probe)),
+        );
     }
-    group.finish();
+    table.finish();
 }
-
-criterion_group!(
-    benches,
-    bench_cholesky,
-    bench_sherman_morrison_update,
-    bench_quadratic_form
-);
-criterion_main!(benches);

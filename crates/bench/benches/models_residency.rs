@@ -23,6 +23,12 @@
 //! last two document what the three-level chain and the sublinear
 //! warm tier buy at the same budget.
 //!
+//! Every cell states the work it did: `cohort_folds` observations went
+//! into a shared cohort prior and `private_updates` (all observations
+//! minus the folds) into a user's own model. A cohort cell whose users
+//! mostly stay below `COHORT_FOLDS` observations is mostly folds, so its
+//! throughput is not comparable with a flat cell's.
+//!
 //! ```text
 //! FASEA_BENCH_JSON=BENCH_models.json cargo bench --bench models_residency
 //! ```
@@ -33,6 +39,7 @@
 //! numbers; `FASEA_BENCH_COHORTS` overrides the cohort count of the
 //! cohort cells (default 256).
 
+use fasea_bench::harness::{budget, fixed, Cell, Table};
 use fasea_models::{EstimatorStore, StoreConfig, UserId, UserSchedule};
 use fasea_stats::crn::mix64;
 use fasea_store::TempDir;
@@ -47,14 +54,6 @@ const WARM_BUDGET: usize = 16 << 20;
 /// materializing — matches the `fasea-exp multi-user` default.
 const COHORT_FOLDS: u64 = 8;
 const SKETCH_RANK: usize = 4;
-
-fn budget() -> Duration {
-    let ms = std::env::var("FASEA_BENCH_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(300);
-    Duration::from_millis(ms.max(10))
-}
 
 fn full_population() -> usize {
     std::env::var("FASEA_BENCH_USERS")
@@ -110,28 +109,7 @@ impl Mode {
     }
 }
 
-struct CellResult {
-    population: usize,
-    bounded: bool,
-    cohorts: usize,
-    state: &'static str,
-    sketch_rank: usize,
-    seed_users_per_sec: f64,
-    steady_rounds_per_sec: f64,
-    steady_rounds: u64,
-    resident_mb: f64,
-    spill_file_mb: f64,
-    hot: usize,
-    warm: usize,
-    spilled: usize,
-    cold: usize,
-    faults: u64,
-    demotions: u64,
-    evictions: u64,
-    cohort_hits: u64,
-}
-
-fn run_cell(population: usize, mode: Mode, steady_budget: Duration) -> CellResult {
+fn run_cell(population: usize, mode: Mode, steady_budget: Duration) -> Cell {
     let dir = TempDir::new(&format!("bench-models-{population}-{}", mode.tag()));
     let mut config = if mode.bounded {
         StoreConfig::bounded(DIM, LAMBDA, HOT_BUDGET, WARM_BUDGET, &dir)
@@ -211,35 +189,53 @@ fn run_cell(population: usize, mode: Mode, steady_budget: Duration) -> CellResul
             stats.faults
         );
     }
-    let result = CellResult {
-        population,
-        bounded: mode.bounded,
-        cohorts: mode.cohorts,
-        state: mode.state(),
-        sketch_rank: if mode.sketched { SKETCH_RANK } else { 0 },
-        seed_users_per_sec: population as f64 / seed_secs,
-        steady_rounds_per_sec: steady_rounds as f64 / steady_secs,
-        steady_rounds,
-        resident_mb: store.resident_bytes() as f64 / (1 << 20) as f64,
-        spill_file_mb: stats.spill_file_bytes as f64 / (1 << 20) as f64,
-        hot: stats.hot,
-        warm: stats.warm,
-        spilled: stats.spilled,
-        cold: stats.cold,
-        faults: stats.faults,
-        demotions: stats.demotions,
-        evictions: stats.evictions,
-        cohort_hits: stats.cohort_hits,
-    };
-    drop(store);
-    result
+    let observations = population as u64 + steady_rounds;
+    vec![
+        ("population", population.into()),
+        ("bounded", mode.bounded.into()),
+        ("cohorts", mode.cohorts.into()),
+        ("state", mode.state().into()),
+        (
+            "sketch_rank",
+            if mode.sketched { SKETCH_RANK } else { 0 }.into(),
+        ),
+        (
+            "seed_users_per_sec",
+            fixed(population as f64 / seed_secs, 0),
+        ),
+        (
+            "steady_rounds_per_sec",
+            fixed(steady_rounds as f64 / steady_secs, 0),
+        ),
+        ("steady_rounds", steady_rounds.into()),
+        (
+            "resident_mb",
+            fixed(store.resident_bytes() as f64 / (1 << 20) as f64, 1),
+        ),
+        (
+            "spill_file_mb",
+            fixed(stats.spill_file_bytes as f64 / (1 << 20) as f64, 1),
+        ),
+        ("cold", stats.cold.into()),
+        ("hot", stats.hot.into()),
+        ("warm", stats.warm.into()),
+        ("spilled", stats.spilled.into()),
+        ("faults", stats.faults.into()),
+        ("demotions", stats.demotions.into()),
+        ("evictions", stats.evictions.into()),
+        ("cohort_hits", stats.cohort_hits.into()),
+        ("cohort_folds", stats.cohort_folds.into()),
+        (
+            "private_updates",
+            (observations - stats.cohort_folds).into(),
+        ),
+    ]
 }
 
 fn main() {
     let steady_budget = budget();
     let full = full_population();
     let cohorts = cohort_count();
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let modes = [
         Mode {
@@ -263,75 +259,14 @@ fn main() {
             sketched: true,
         },
     ];
-    let mut cells = Vec::new();
+    let mut table = Table::new("models_residency", "users_or_rounds_per_sec")
+        .meta("dim", DIM)
+        .meta("hot_budget_mb", HOT_BUDGET >> 20)
+        .meta("warm_budget_mb", WARM_BUDGET >> 20);
     for population in [(full / 10).max(100), full] {
         for mode in modes {
-            cells.push(run_cell(population, mode, steady_budget));
+            table.push(run_cell(population, mode, steady_budget));
         }
     }
-
-    for c in &cells {
-        println!(
-            "models_residency/u{}/{:<9}/{:<8}/c{:<4} seed: {:>10.0} users/s   \
-             steady: {:>9.0} rounds/s   resident: {:>8.1} MiB   \
-             cold/hot/warm/spilled: {}/{}/{}/{}   spill file: {:.1} MiB   \
-             cohort hits: {}",
-            c.population,
-            if c.bounded { "bounded" } else { "unbounded" },
-            c.state,
-            c.cohorts,
-            c.seed_users_per_sec,
-            c.steady_rounds_per_sec,
-            c.resident_mb,
-            c.cold,
-            c.hot,
-            c.warm,
-            c.spilled,
-            c.spill_file_mb,
-            c.cohort_hits,
-        );
-    }
-
-    if let Ok(path) = std::env::var("FASEA_BENCH_JSON") {
-        let mut json = format!(
-            "{{\n  \"bench\": \"models_residency\",\n  \"units\": \"users_or_rounds_per_sec\",\n  \"dim\": {DIM},\n  \
-             \"hot_budget_mb\": {},\n  \"warm_budget_mb\": {},\n  \
-             \"host_cores\": {host_cores},\n  \"cells\": [\n",
-            HOT_BUDGET >> 20,
-            WARM_BUDGET >> 20,
-        );
-        for (i, c) in cells.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"population\": {}, \"bounded\": {}, \
-                 \"cohorts\": {}, \"state\": \"{}\", \"sketch_rank\": {}, \
-                 \"seed_users_per_sec\": {:.0}, \"steady_rounds_per_sec\": {:.0}, \
-                 \"steady_rounds\": {}, \"resident_mb\": {:.1}, \"spill_file_mb\": {:.1}, \
-                 \"cold\": {}, \"hot\": {}, \"warm\": {}, \"spilled\": {}, \
-                 \"faults\": {}, \"demotions\": {}, \"evictions\": {}, \
-                 \"cohort_hits\": {}}}{}\n",
-                c.population,
-                c.bounded,
-                c.cohorts,
-                c.state,
-                c.sketch_rank,
-                c.seed_users_per_sec,
-                c.steady_rounds_per_sec,
-                c.steady_rounds,
-                c.resident_mb,
-                c.spill_file_mb,
-                c.cold,
-                c.hot,
-                c.warm,
-                c.spilled,
-                c.faults,
-                c.demotions,
-                c.evictions,
-                c.cohort_hits,
-                if i + 1 == cells.len() { "" } else { "," },
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        std::fs::write(&path, json).expect("write FASEA_BENCH_JSON");
-        println!("wrote {path}");
-    }
+    table.finish();
 }

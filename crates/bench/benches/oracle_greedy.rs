@@ -3,62 +3,42 @@
 //! O(|V| log |V| + c_u·|V|); the conflict ratio only affects the masked
 //! conflict probes.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fasea_bandit::{GreedyOracle, Oracle, OracleWorkspace};
+use fasea_bench::harness::{budget, fixed, time_ns, Table};
+use fasea_bench::oracle_scores;
 use fasea_core::Arrangement;
 use fasea_datagen::synthetic::generate_conflicts;
 use fasea_stats::rng_from_seed;
-use std::hint::black_box;
+use std::time::Duration;
 
-fn scores_for(n: usize) -> Vec<f64> {
-    (0..n)
-        .map(|i| ((i as f64 * 0.7311).sin() + 1.0) / 2.0)
-        .collect()
-}
-
-fn bench_by_num_events(c: &mut Criterion) {
-    let mut group = c.benchmark_group("oracle_greedy_by_v");
-    for &n in &[100usize, 500, 1000, 5000] {
-        let mut rng = rng_from_seed(1);
-        let conflicts = generate_conflicts(n, 0.25, &mut rng);
-        let scores = scores_for(n);
-        let remaining = vec![10u32; n];
-        let mut ws = OracleWorkspace::new();
-        let mut out = Arrangement::empty();
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| {
-                GreedyOracle.arrange_into(&scores, &conflicts, &remaining, 5, &mut ws, &mut out);
-                black_box(out.len())
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_by_conflict_ratio(c: &mut Criterion) {
-    let mut group = c.benchmark_group("oracle_greedy_by_cr");
-    let n = 500;
-    let scores = scores_for(n);
+/// ns per greedy arrangement of `n` events at conflict ratio `cr`.
+fn arrange_ns(n: usize, cr: f64, conflict_seed: u64, budget: Duration) -> f64 {
+    let mut rng = rng_from_seed(conflict_seed);
+    let conflicts = generate_conflicts(n, cr, &mut rng);
+    let scores = oracle_scores(n);
     let remaining = vec![10u32; n];
-    for &cr in &[0.0f64, 0.25, 0.5, 0.75, 1.0] {
-        let mut rng = rng_from_seed(2);
-        let conflicts = generate_conflicts(n, cr, &mut rng);
-        let mut ws = OracleWorkspace::new();
-        let mut out = Arrangement::empty();
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("cr{}", (cr * 100.0) as u32)),
-            &cr,
-            |b, _| {
-                b.iter(|| {
-                    GreedyOracle
-                        .arrange_into(&scores, &conflicts, &remaining, 5, &mut ws, &mut out);
-                    black_box(out.len())
-                })
-            },
-        );
-    }
-    group.finish();
+    let mut ws = OracleWorkspace::new();
+    let mut out = Arrangement::empty();
+    time_ns(budget, || {
+        GreedyOracle.arrange_into(&scores, &conflicts, &remaining, 5, &mut ws, &mut out);
+        out.len()
+    })
 }
 
-criterion_group!(benches, bench_by_num_events, bench_by_conflict_ratio);
-criterion_main!(benches);
+fn main() {
+    let budget = budget();
+    let mut table = Table::new("oracle_greedy", "ns_per_call");
+    let sweeps = [100usize, 500, 1000, 5000]
+        .map(|n| ("by_v", n, 0.25, 1))
+        .into_iter()
+        .chain([0.0f64, 0.25, 0.5, 0.75, 1.0].map(|cr| ("by_cr", 500, cr, 2)));
+    for (sweep, n, cr, seed) in sweeps {
+        table.push(vec![
+            ("sweep", sweep.into()),
+            ("num_events", n.into()),
+            ("conflict_ratio", fixed(cr, 2)),
+            ("arrange_ns", fixed(arrange_ns(n, cr, seed, budget), 1)),
+        ]);
+    }
+    table.finish();
+}

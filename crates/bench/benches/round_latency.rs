@@ -6,41 +6,22 @@
 //! Random ≪ eGreedy ≈ Exploit < TS < UCB, with UCB's cost growing
 //! fastest in |V| (it pays an O(d²) confidence bound per event).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fasea_bandit::SelectionView;
-use fasea_bench::{policy_by_name, RoundFixture, POLICY_NAMES};
-use fasea_core::Feedback;
-use std::hint::black_box;
+use fasea_bench::harness::{budget, fixed, Table};
+use fasea_bench::policy_round_ns;
 
-fn bench_round_latency(c: &mut Criterion) {
-    let mut group = c.benchmark_group("round_latency");
-    group.sample_size(20);
-    for &num_events in &[100usize, 500, 1000] {
-        let fixture = RoundFixture::new(num_events, 20);
-        let remaining: Vec<u32> = vec![u32::MAX; num_events];
-        for name in POLICY_NAMES {
-            let mut policy = policy_by_name(name, 20);
-            let mut t = 0u64;
-            group.bench_with_input(BenchmarkId::new(name, num_events), &num_events, |b, _| {
-                b.iter(|| {
-                    let view = SelectionView {
-                        t,
-                        user_capacity: 3,
-                        contexts: &fixture.arrival.contexts,
-                        conflicts: fixture.workload.instance.conflicts(),
-                        remaining: &remaining,
-                    };
-                    let arrangement = policy.select(&view);
-                    let fb = Feedback::new(vec![false; arrangement.len()]);
-                    policy.observe(t, &fixture.arrival.contexts, &arrangement, &fb);
-                    t += 1;
-                    black_box(arrangement.len())
-                })
-            });
+const DIM: usize = 20;
+
+fn main() {
+    let budget = budget();
+    let mut table = Table::new("round_latency", "ns_per_round").meta("dim", DIM);
+    for num_events in [100usize, 500, 1000] {
+        for (policy, round_ns) in policy_round_ns(num_events, DIM, false, budget) {
+            table.push(vec![
+                ("policy", policy.into()),
+                ("num_events", num_events.into()),
+                ("round_ns", fixed(round_ns, 1)),
+            ]);
         }
     }
-    group.finish();
+    table.finish();
 }
-
-criterion_group!(benches, bench_round_latency);
-criterion_main!(benches);

@@ -1,93 +1,40 @@
-//! Old-vs-new per-round scoring latency for the batched `Policy` path,
-//! plus serial-vs-parallel scaling for the [`ScorePool`] engine.
+//! Per-round UCB scoring latency of the batched `Policy` path, serial
+//! vs the [`ScorePool`] parallel engine.
 //!
-//! The pre-redesign UCB round scored one event at a time — clone `θ̂`,
-//! allocate a `Vector` per event for the confidence width, allocate the
-//! oracle's order/mask scratch and a fresh `Arrangement` — while the
-//! batched path (`select_into` + `ScoreWorkspace`) runs the same
-//! arithmetic through `widths_into` with zero steady-state allocations.
-//! This bench times three paths on identical estimator state:
+//! Both paths run `select_into` on identical estimator state:
 //!
-//! * `legacy`   — the reconstructed pre-redesign scalar round
-//!   (skipped at `|V| ≥ 100k`, where one call alone would blow the
-//!   measurement budget);
-//! * `batched`  — serial `select_into`;
+//! * `batched`  — serial `select_into` (zero steady-state allocations);
 //! * `parallel` — `select_into` through an 8-thread [`ScorePool`].
 //!
-//! All paths produce bit-identical scores and arrangements (asserted
-//! before timing), so every ratio is pure overhead, not numerics. The
-//! grid is `|V| ∈ {100, 1k, 10k}` × `d ∈ {5, 20}` plus the large cells
-//! `|V| = 100k (d = 20)` and `|V| = 1M (d = 5)` that the parallel
+//! The parallel path's scores and arrangement are asserted bit-equal to
+//! the serial reference before timing, so the ratio is pure overhead or
+//! scaling, not numerics. (That the batched kernels are bit-equal to the
+//! pre-batching scalar path is pinned by
+//! `crates/bandit/tests/batched_equivalence.rs` at this bench's shapes.)
+//! The grid is `|V| ∈ {100, 1k, 10k}` × `d ∈ {5, 20}` plus the large
+//! cells `|V| = 100k (d = 20)` and `|V| = 1M (d = 5)` that the parallel
 //! engine exists for.
 //!
 //! `parallel_speedup` is meaningful only when the host actually has
-//! cores to scale onto — the JSON records `host_cores` next to
-//! `threads` so a single-core CI container's ≈1.0× is read as a
-//! machine property, not a regression.
+//! cores to scale onto — the table records `host_cores` next to
+//! `threads` so a single-core host's ≈1.0× is read as a machine
+//! property, not a regression.
 //!
-//! Output: one line per cell on stdout. When `FASEA_BENCH_JSON` names a
-//! file, the measured table is also written there as JSON — that is how
-//! the committed `BENCH_scoring.json` is produced:
+//! The committed `BENCH_scoring.json` is produced by
 //!
 //! ```text
 //! FASEA_BENCH_JSON=BENCH_scoring.json cargo bench --bench scoring_hot_path
 //! ```
-//!
-//! `FASEA_BENCH_MS` bounds the per-measurement budget as in the other
-//! benches (default 300 ms), so CI can smoke-run the whole file in a
-//! couple of seconds without touching the committed numbers.
 
-use fasea_bandit::{
-    GreedyOracle, LinUcb, Oracle, OracleWorkspace, Policy, RidgeEstimator, ScorePool, SelectionView,
-};
-use fasea_core::{Arrangement, ConflictGraph, ContextMatrix, EventId, Feedback};
+use fasea_bandit::{LinUcb, Policy, ScorePool, SelectionView};
+use fasea_bench::harness::{budget, fixed, time_ns, Table};
+use fasea_core::{Arrangement, ConflictGraph, ContextMatrix, Feedback};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Pool width for the parallel column (the ISSUE's scaling target is
-/// quoted at 8 threads).
+/// Pool width for the parallel column.
 const POOL_THREADS: usize = 8;
-
-/// Cells at or above this `|V|` skip the legacy path: the per-event
-/// allocating round is ~100× slower, so a single call would eat the
-/// whole budget without telling us anything new.
-const LEGACY_CUTOFF: usize = 100_000;
-
-/// The pre-redesign scalar UCB scoring round, kept verbatim: per-round
-/// `θ̂` clone, per-event `Vector` allocation inside `confidence_width`,
-/// and a cold greedy-oracle call (fresh workspace and arrangement every
-/// round, the legacy `oracle_greedy` allocation profile).
-struct LegacyUcb {
-    estimator: RidgeEstimator,
-    alpha: f64,
-    scores: Vec<f64>,
-}
-
-impl LegacyUcb {
-    fn select(&mut self, view: &SelectionView<'_>) -> Arrangement {
-        let n = view.num_events();
-        self.scores.resize(n, 0.0);
-        let theta = self.estimator.theta_hat().clone();
-        for v in 0..n {
-            let x = view.contexts.context(EventId(v));
-            let point = fasea_linalg::dot_slices(x, theta.as_slice());
-            let width = self.estimator.confidence_width(x);
-            self.scores[v] = point + self.alpha * width;
-        }
-        let mut ws = OracleWorkspace::new();
-        let mut out = Arrangement::empty();
-        GreedyOracle.arrange_into(
-            &self.scores,
-            view.conflicts,
-            view.remaining,
-            view.user_capacity,
-            &mut ws,
-            &mut out,
-        );
-        out
-    }
-}
 
 /// Deterministic xorshift so fixtures need no `rand` dependency.
 struct XorShift(u64);
@@ -101,50 +48,13 @@ impl XorShift {
     }
 }
 
-struct Cell {
+/// `(serial, parallel)` ns per round of one grid cell.
+fn bench_cell(
     num_events: usize,
     dim: usize,
-    /// `None` for the large cells where the legacy path is skipped.
-    legacy_ns: Option<f64>,
-    batched_ns: f64,
-    parallel_ns: f64,
-}
-
-fn budget() -> Duration {
-    let ms = std::env::var("FASEA_BENCH_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(300);
-    Duration::from_millis(ms.max(10))
-}
-
-/// Mean ns per call of `f`, measured in ~1 ms batches until the budget
-/// is spent (same scheme as the workspace's criterion stand-in).
-fn time_ns(budget: Duration, mut f: impl FnMut()) -> f64 {
-    let warm_start = Instant::now();
-    while warm_start.elapsed() < budget / 10 {
-        f();
-    }
-    let probe_start = Instant::now();
-    f();
-    let probe = probe_start.elapsed().max(Duration::from_nanos(20));
-    let batch = (Duration::from_millis(1).as_nanos() / probe.as_nanos()).clamp(1, 100_000) as u64;
-
-    let mut iters = 0u64;
-    let mut total = Duration::ZERO;
-    let run_start = Instant::now();
-    while run_start.elapsed() < budget {
-        let batch_start = Instant::now();
-        for _ in 0..batch {
-            f();
-        }
-        total += batch_start.elapsed();
-        iters += batch;
-    }
-    total.as_nanos() as f64 / iters.max(1) as f64
-}
-
-fn bench_cell(num_events: usize, dim: usize, budget: Duration, pool: &Arc<ScorePool>) -> Cell {
+    budget: Duration,
+    pool: &Arc<ScorePool>,
+) -> (f64, f64) {
     let mut rng = XorShift(0x5C0_71A6 ^ (num_events as u64) << 8 ^ dim as u64);
     let contexts = ContextMatrix::from_fn(num_events, dim, |_, _| rng.next_f64());
     // A sparse conflict graph, enough for the oracle's mask checks to
@@ -156,11 +66,10 @@ fn bench_cell(num_events: usize, dim: usize, budget: Duration, pool: &Arc<ScoreP
     let remaining = vec![u32::MAX; num_events];
     let cu = 5u32;
 
-    // Warm a policy so Y⁻¹ and θ̂ are non-trivial, then clone its
-    // estimator into the legacy path: all paths score the same model.
-    // Large cells get a short warm-up — the estimator state only needs
-    // to be non-trivial, and 32 full scans of |V| = 1M are pure wait.
-    let warm_rounds = if num_events >= LEGACY_CUTOFF { 2 } else { 32 };
+    // Warm a policy so Y⁻¹ and θ̂ are non-trivial. Large cells get a
+    // short warm-up — the estimator state only needs to be non-trivial,
+    // and 32 full scans of |V| = 1M are pure wait.
+    let warm_rounds = if num_events >= 100_000 { 2 } else { 32 };
     let mut policy = LinUcb::new(dim, 1.0, 2.0);
     let mut out = Arrangement::empty();
     for t in 0..warm_rounds {
@@ -188,32 +97,14 @@ fn bench_cell(num_events: usize, dim: usize, budget: Duration, pool: &Arc<ScoreP
         remaining: &remaining,
     };
 
-    // Serial reference: scores + arrangement every other path must hit.
+    // Serial reference: scores + arrangement the parallel path must hit.
     policy.select_into(&view, &mut out);
     let serial_out = out.clone();
     let serial_scores: Vec<f64> = policy.last_scores().expect("scores after select").to_vec();
 
-    let run_legacy = num_events < LEGACY_CUTOFF;
-    let legacy_ns = run_legacy.then(|| {
-        // Same scores, same arrangement — the paths differ only in cost.
-        let mut legacy = LegacyUcb {
-            estimator: policy.estimator().clone(),
-            alpha: policy.alpha(),
-            scores: Vec::new(),
-        };
-        let legacy_out = legacy.select(&view);
-        assert_eq!(legacy_out.events(), serial_out.events(), "paths diverge");
-        for (v, (l, s)) in legacy.scores.iter().zip(&serial_scores).enumerate() {
-            assert_eq!(l.to_bits(), s.to_bits(), "legacy score {v} differs in bits");
-        }
-        time_ns(budget, || {
-            black_box(legacy.select(black_box(&view)).len());
-        })
-    });
-
     let batched_ns = time_ns(budget, || {
         policy.select_into(black_box(&view), &mut out);
-        black_box(out.len());
+        out.len()
     });
 
     // Parallel: install the shared pool, prove bit-equality against the
@@ -233,17 +124,11 @@ fn bench_cell(num_events: usize, dim: usize, budget: Duration, pool: &Arc<ScoreP
     }
     let parallel_ns = time_ns(budget, || {
         policy.select_into(black_box(&view), &mut out);
-        black_box(out.len());
+        out.len()
     });
     policy.workspace_mut().set_score_pool(None);
 
-    Cell {
-        num_events,
-        dim,
-        legacy_ns,
-        batched_ns,
-        parallel_ns,
-    }
+    (batched_ns, parallel_ns)
 }
 
 fn main() {
@@ -251,64 +136,33 @@ fn main() {
     let pool = ScorePool::shared(POOL_THREADS).expect("multi-thread pool");
     // Keep worker-thread startup out of the first cell's timing.
     pool.wait_ready();
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if host_cores == 1 {
-        println!(
-            "warning: single-core host — parallel_speedup < 1 measures ScorePool \
-             dispatch overhead, not a scaling regression"
+    let mut table = Table::new("scoring_hot_path", "ns_per_round")
+        .meta("policy", "UCB")
+        .meta("threads", POOL_THREADS)
+        .caveat(
+            2,
+            "parallel_speedup < 1 measures ScorePool dispatch overhead on one core, \
+             not a scaling regression",
         );
-    }
-
-    let grid: &[(usize, usize)] = &[
-        (100, 5),
+    for (num_events, dim) in [
+        (100usize, 5usize),
         (100, 20),
         (1_000, 5),
         (1_000, 20),
         (10_000, 5),
         (10_000, 20),
-        // The cells the parallel engine exists for; legacy is skipped.
+        // The cells the parallel engine exists for.
         (100_000, 20),
         (1_000_000, 5),
-    ];
-    let mut cells = Vec::new();
-    for &(num_events, dim) in grid {
-        let cell = bench_cell(num_events, dim, budget, &pool);
-        let legacy = cell
-            .legacy_ns
-            .map_or_else(|| "      (skipped)".into(), |ns| format!("{ns:>12.1} ns"));
-        println!(
-            "scoring_hot_path/UCB/{}x{:<20} legacy: {legacy}   batched: {:>12.1} ns   parallel[{}t]: {:>12.1} ns   par speedup: {:.2}x",
-            cell.num_events,
-            cell.dim,
-            cell.batched_ns,
-            POOL_THREADS,
-            cell.parallel_ns,
-            cell.batched_ns / cell.parallel_ns,
-        );
-        cells.push(cell);
+    ] {
+        let (batched_ns, parallel_ns) = bench_cell(num_events, dim, budget, &pool);
+        table.push(vec![
+            ("num_events", num_events.into()),
+            ("dim", dim.into()),
+            ("batched_ns", fixed(batched_ns, 1)),
+            ("parallel_ns", fixed(parallel_ns, 1)),
+            ("parallel_speedup", fixed(batched_ns / parallel_ns, 2)),
+        ]);
     }
-
-    if let Ok(path) = std::env::var("FASEA_BENCH_JSON") {
-        let mut json = format!(
-            "{{\n  \"bench\": \"scoring_hot_path\",\n  \"policy\": \"UCB\",\n  \"units\": \"ns_per_round\",\n  \"threads\": {POOL_THREADS},\n  \"host_cores\": {host_cores},\n  \"cells\": [\n",
-        );
-        for (i, c) in cells.iter().enumerate() {
-            let (legacy_ns, legacy_speedup) = match c.legacy_ns {
-                Some(ns) => (format!("{ns:.1}"), format!("{:.2}", ns / c.batched_ns)),
-                None => ("null".into(), "null".into()),
-            };
-            json.push_str(&format!(
-                "    {{\"num_events\": {}, \"dim\": {}, \"legacy_ns\": {legacy_ns}, \"batched_ns\": {:.1}, \"parallel_ns\": {:.1}, \"speedup\": {legacy_speedup}, \"parallel_speedup\": {:.2}}}{}\n",
-                c.num_events,
-                c.dim,
-                c.batched_ns,
-                c.parallel_ns,
-                c.batched_ns / c.parallel_ns,
-                if i + 1 == cells.len() { "" } else { "," },
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        std::fs::write(&path, json).expect("write FASEA_BENCH_JSON");
-        println!("wrote {path}");
-    }
+    table.finish();
 }

@@ -13,24 +13,19 @@
 //! with fsync on, per-shard logs would additionally spread the fsync
 //! load across files.
 //!
-//! Output: one line per cell on stdout. When `FASEA_BENCH_JSON` names
-//! a file, the measured table is also written there as JSON — that is
-//! how the committed `BENCH_shard.json` is produced:
+//! The committed `BENCH_shard.json` is produced by
 //!
 //! ```text
 //! FASEA_BENCH_MS=2000 FASEA_BENCH_JSON=BENCH_shard.json \
 //!     cargo bench --bench shard_scaling
 //! ```
-//!
-//! `FASEA_BENCH_MS` bounds the per-cell measurement window (default
-//! 300 ms) so CI can smoke-run the file without touching committed
-//! numbers.
 
 use std::time::{Duration, Instant};
 
 use fasea_bandit::LinUcb;
-use fasea_core::EventId;
+use fasea_bench::harness::{budget, fixed, Scalar, Table};
 use fasea_datagen::{SyntheticConfig, SyntheticWorkload};
+use fasea_serve::BackendService;
 use fasea_shard::ShardedArrangementService;
 use fasea_sim::{DurableArrangementService, DurableOptions};
 use fasea_stats::CoinStream;
@@ -40,167 +35,88 @@ const SEED: u64 = 0x0005_AA2D_BE7C;
 const NUM_EVENTS: usize = 200;
 const DIM: usize = 5;
 
-fn workload() -> SyntheticWorkload {
-    SyntheticWorkload::generate(SyntheticConfig {
-        num_events: NUM_EVENTS,
-        dim: DIM,
-        seed: SEED,
-        ..SyntheticConfig::default()
-    })
+/// One feedback round: CRN acceptance coins keyed on (t, event) so
+/// every cell sees the identical trajectory.
+fn drive_round(svc: &mut DurableArrangementService, wl: &SyntheticWorkload, coins: &CoinStream) {
+    let t = svc.rounds_completed();
+    let arrival = wl.arrivals.arrival(t);
+    let arrangement = svc.propose(&arrival).unwrap();
+    let accepts: Vec<bool> = arrangement
+        .events()
+        .iter()
+        .map(|&v| {
+            coins.uniform(t, v.index() as u64) < wl.model.accept_probability(&arrival.contexts, v)
+        })
+        .collect();
+    svc.feedback(&accepts).unwrap();
 }
 
-fn budget() -> Duration {
-    let ms = std::env::var("FASEA_BENCH_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(300);
-    Duration::from_millis(ms.max(10))
-}
-
-fn opts() -> DurableOptions {
-    DurableOptions::new()
-        .with_fsync(FsyncPolicy::Never)
-        .with_segment_bytes(u64::MAX)
-}
-
-struct Cell {
-    mode: &'static str,
-    shards: usize,
-    rounds: u64,
-    rounds_per_sec: f64,
-}
-
-/// One feedback round against whichever service: CRN acceptance coins
-/// keyed on (t, event) so every cell sees the identical trajectory.
-macro_rules! drive_round {
-    ($svc:expr, $wl:expr, $coins:expr) => {{
-        let t = $svc.rounds_completed();
-        let arrival = $wl.arrivals.arrival(t);
-        let arrangement = $svc.propose(&arrival).unwrap();
-        let accepts: Vec<bool> = arrangement
-            .events()
-            .iter()
-            .map(|&v| {
-                $coins.uniform(t, v.index() as u64)
-                    < $wl
-                        .model
-                        .accept_probability(&arrival.contexts, EventId(v.index()))
-            })
-            .collect();
-        $svc.feedback(&accepts).unwrap();
-    }};
-}
-
-fn run_cell(mode: &'static str, shards: usize, window: Duration) -> Cell {
-    let dir = TempDir::new(&format!("bench-shard-scaling-{mode}-{shards}"));
-    let wl = workload();
+/// `(rounds, rounds/sec)` over `window` at `shards` shards (0 = the
+/// single-actor service).
+fn run_cell(wl: &SyntheticWorkload, shards: usize, window: Duration) -> (u64, f64) {
+    let dir = TempDir::new("bench-shard-scaling");
     let coins = CoinStream::new(SEED ^ 0xFEED);
     let policy = Box::new(LinUcb::new(DIM, 1.0, 2.0));
-
-    let mut rounds = 0u64;
-    let started;
-    let elapsed;
-    if shards == 0 {
-        let mut svc =
-            DurableArrangementService::open(&dir, wl.instance.clone(), policy, opts()).unwrap();
-        // Warm-up outside the timed window.
-        for _ in 0..8 {
-            drive_round!(svc, wl, coins);
-        }
-        started = Instant::now();
-        let deadline = started + window;
-        while Instant::now() < deadline {
-            drive_round!(svc, wl, coins);
-            rounds += 1;
-        }
-        elapsed = started.elapsed();
-        svc.close().unwrap();
+    let opts = DurableOptions::new()
+        .with_fsync(FsyncPolicy::Never)
+        .with_segment_bytes(u64::MAX);
+    let mut svc: BackendService = if shards == 0 {
+        DurableArrangementService::open(&dir, wl.instance.clone(), policy, opts)
+            .unwrap()
+            .into()
     } else {
-        let mut svc =
-            ShardedArrangementService::open(&dir, wl.instance.clone(), policy, opts(), shards)
-                .unwrap();
-        for _ in 0..8 {
-            drive_round!(svc, wl, coins);
-        }
-        started = Instant::now();
-        let deadline = started + window;
-        while Instant::now() < deadline {
-            drive_round!(svc, wl, coins);
-            rounds += 1;
-        }
-        elapsed = started.elapsed();
-        svc.close().unwrap();
+        ShardedArrangementService::open(&dir, wl.instance.clone(), policy, opts, shards)
+            .unwrap()
+            .into()
+    };
+    // Warm-up outside the timed window.
+    for _ in 0..8 {
+        drive_round(&mut svc, wl, &coins);
     }
-
-    Cell {
-        mode,
-        shards,
-        rounds,
-        rounds_per_sec: rounds as f64 / elapsed.as_secs_f64(),
+    let mut rounds = 0u64;
+    let started = Instant::now();
+    let deadline = started + window;
+    while Instant::now() < deadline {
+        drive_round(&mut svc, wl, &coins);
+        rounds += 1;
     }
+    let elapsed = started.elapsed();
+    svc.close().unwrap();
+    (rounds, rounds as f64 / elapsed.as_secs_f64())
 }
 
 fn main() {
     let window = budget();
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if host_cores == 1 {
-        println!(
-            "warning: single-core host — the coordinator and every shard actor \
-             share one core, so the fan-out rounds are pure overhead and shard \
-             scaling is understated"
+    let wl = SyntheticWorkload::generate(SyntheticConfig {
+        num_events: NUM_EVENTS,
+        dim: DIM,
+        seed: SEED,
+        ..SyntheticConfig::default()
+    });
+    let mut table = Table::new("shard_scaling", "rounds_per_sec")
+        .meta("fsync", "never")
+        .caveat(
+            2,
+            "the coordinator and every shard actor share one core, so the fan-out \
+             rounds are pure overhead and shard scaling is understated",
         );
+    let (rounds, base) = run_cell(&wl, 0, window);
+    table.push(vec![
+        ("mode", "single_actor".into()),
+        ("shards", 0usize.into()),
+        ("rounds", rounds.into()),
+        ("rounds_per_sec", fixed(base, 1)),
+        ("relative_to_single_actor", Scalar::Null),
+    ]);
+    for shards in [1usize, 2, 4] {
+        let (rounds, rate) = run_cell(&wl, shards, window);
+        table.push(vec![
+            ("mode", "sharded".into()),
+            ("shards", shards.into()),
+            ("rounds", rounds.into()),
+            ("rounds_per_sec", fixed(rate, 1)),
+            ("relative_to_single_actor", fixed(rate / base, 2)),
+        ]);
     }
-
-    let grid: &[(&'static str, usize)] = &[
-        ("single_actor", 0),
-        ("sharded", 1),
-        ("sharded", 2),
-        ("sharded", 4),
-    ];
-    let mut cells = Vec::new();
-    for &(mode, shards) in grid {
-        let cell = run_cell(mode, shards, window);
-        println!(
-            "shard_scaling/{}/shards={}   {:>8} rounds   {:>10.1} rounds/sec",
-            cell.mode, cell.shards, cell.rounds, cell.rounds_per_sec,
-        );
-        cells.push(cell);
-    }
-
-    let baseline = cells
-        .iter()
-        .find(|c| c.mode == "single_actor")
-        .map(|c| c.rounds_per_sec);
-    if let Some(base) = baseline {
-        for c in cells.iter().filter(|c| c.mode == "sharded") {
-            println!(
-                "sharded({}) vs single_actor: {:.2}x",
-                c.shards,
-                c.rounds_per_sec / base,
-            );
-        }
-    }
-
-    if let Ok(path) = std::env::var("FASEA_BENCH_JSON") {
-        let mut json = format!(
-            "{{\n  \"bench\": \"shard_scaling\",\n  \"units\": \"rounds_per_sec\",\n  \"fsync\": \"never\",\n  \"host_cores\": {host_cores},\n  \"cells\": [\n",
-        );
-        for (i, c) in cells.iter().enumerate() {
-            let relative = match baseline {
-                Some(base) if c.mode == "sharded" => format!("{:.2}", c.rounds_per_sec / base),
-                _ => "null".into(),
-            };
-            json.push_str(&format!(
-                "    {{\"mode\": \"{}\", \"shards\": {}, \"rounds\": {}, \"rounds_per_sec\": {:.1}, \"relative_to_single_actor\": {relative}}}{}\n",
-                c.mode,
-                c.shards,
-                c.rounds,
-                c.rounds_per_sec,
-                if i + 1 == cells.len() { "" } else { "," },
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        std::fs::write(&path, json).expect("write FASEA_BENCH_JSON");
-        println!("wrote {path}");
-    }
+    table.finish();
 }

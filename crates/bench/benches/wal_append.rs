@@ -16,20 +16,16 @@
 //! Records mimic a realistic round: a Propose with a |V|×d context
 //! block plus its matching Feedback.
 //!
-//! Output: one line per cell on stdout. When `FASEA_BENCH_JSON` names a
-//! file, the measured table is also written there as JSON — that is how
-//! the committed `BENCH_wal.json` is produced:
+//! The committed `BENCH_wal.json` is produced by
 //!
 //! ```text
 //! FASEA_BENCH_JSON=BENCH_wal.json cargo bench --bench wal_append
 //! ```
-//!
-//! `FASEA_BENCH_MS` bounds the per-measurement budget (default 300 ms)
-//! so CI can smoke-run the file without touching committed numbers.
 
+use fasea_bench::harness::{budget, fixed, time_ns, Table};
 use fasea_store::{FsyncPolicy, GroupCommitWal, Record, TempDir, Wal, WalOptions};
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const NUM_EVENTS: u32 = 100;
 const DIM: u32 = 10;
@@ -57,40 +53,6 @@ fn feedback_record(t: u64) -> Record {
     }
 }
 
-fn budget() -> Duration {
-    let ms = std::env::var("FASEA_BENCH_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(300);
-    Duration::from_millis(ms.max(10))
-}
-
-/// Mean ns per call of `f`, measured in ~1 ms batches until the budget
-/// is spent (same scheme as the workspace's other custom-main benches).
-fn time_ns(budget: Duration, mut f: impl FnMut()) -> f64 {
-    let warm_start = Instant::now();
-    while warm_start.elapsed() < budget / 10 {
-        f();
-    }
-    let probe_start = Instant::now();
-    f();
-    let probe = probe_start.elapsed().max(Duration::from_nanos(20));
-    let batch = (Duration::from_millis(1).as_nanos() / probe.as_nanos()).clamp(1, 100_000) as u64;
-
-    let mut iters = 0u64;
-    let mut total = Duration::ZERO;
-    let run_start = Instant::now();
-    while run_start.elapsed() < budget {
-        let batch_start = Instant::now();
-        for _ in 0..batch {
-            f();
-        }
-        total += batch_start.elapsed();
-        iters += batch;
-    }
-    total.as_nanos() as f64 / iters.max(1) as f64
-}
-
 fn open_wal(dir: &std::path::Path, policy: FsyncPolicy) -> Wal {
     let options = WalOptions {
         segment_bytes: 64 << 20,
@@ -109,7 +71,7 @@ fn direct_round_ns(policy: FsyncPolicy, budget: Duration) -> f64 {
         wal.append(black_box(&propose_record(t))).unwrap();
         let seq = wal.append(black_box(&feedback_record(t))).unwrap();
         t += 1;
-        black_box(seq);
+        seq
     });
     drop(wal);
     ns
@@ -130,94 +92,53 @@ fn group_round_ns(batch: u64, budget: Duration) -> f64 {
             last = group.append(black_box(feedback_record(t))).unwrap();
             t += 1;
         }
-        black_box(group.wait_durable(last).unwrap());
+        group.wait_durable(last).unwrap()
     });
     group.close().unwrap();
     iter_ns / batch as f64
 }
 
-struct Cell {
-    mode: &'static str,
-    policy: String,
-    batch: Option<u64>,
-    round_ns: f64,
-}
-
 fn main() {
     let budget = budget();
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    let mut cells = Vec::new();
-    for policy in [
+    let mut table = Table::new("wal_append", "ns_per_round").caveat(
+        2,
+        "group-commit speedups come from batching fsyncs, not parallel execution",
+    );
+    let direct: Vec<(FsyncPolicy, f64)> = [
         FsyncPolicy::Never,
         FsyncPolicy::EveryN(8),
         FsyncPolicy::Always,
-    ] {
-        cells.push(Cell {
-            mode: "direct",
-            policy: policy.label(),
-            batch: None,
-            round_ns: direct_round_ns(policy, budget),
-        });
-    }
-    for batch in [1u64, 8, 64] {
-        cells.push(Cell {
-            mode: "group",
-            policy: FsyncPolicy::Always.label(),
-            batch: Some(batch),
-            round_ns: group_round_ns(batch, budget),
-        });
-    }
+    ]
+    .into_iter()
+    .map(|policy| (policy, direct_round_ns(policy, budget)))
+    .collect();
+    let group: Vec<(u64, f64)> = [1u64, 8, 64]
+        .into_iter()
+        .map(|batch| (batch, group_round_ns(batch, budget)))
+        .collect();
 
-    let direct_always = cells
+    let direct_always = direct
         .iter()
-        .find(|c| c.mode == "direct" && c.policy == "always")
-        .map(|c| c.round_ns)
+        .find(|(policy, _)| *policy == FsyncPolicy::Always)
+        .map(|&(_, ns)| ns)
         .expect("direct/always cell measured");
-
-    for c in &cells {
-        let batch = c
-            .batch
-            .map_or_else(|| "    -".into(), |b| format!("{b:>5}"));
-        let speedup = if c.mode == "group" {
-            format!("   vs direct/always: {:.2}x", direct_always / c.round_ns)
-        } else {
-            String::new()
-        };
-        println!(
-            "wal_append/{}/{:<7} batch: {batch}   {:>12.1} ns/round{speedup}",
-            c.mode, c.policy, c.round_ns,
+    let cells = direct
+        .iter()
+        .map(|&(policy, ns)| ("direct", policy, None, ns))
+        .chain(
+            group
+                .iter()
+                .map(|&(batch, ns)| ("group", FsyncPolicy::Always, Some(batch), ns)),
         );
+    for (mode, policy, batch, round_ns) in cells {
+        let speedup = batch.map(|_| fixed(direct_always / round_ns, 2));
+        table.push(vec![
+            ("mode", mode.into()),
+            ("policy", policy.label().into()),
+            ("batch", batch.into()),
+            ("round_ns", fixed(round_ns, 1)),
+            ("speedup_vs_direct_always", speedup.into()),
+        ]);
     }
-
-    if let Ok(path) = std::env::var("FASEA_BENCH_JSON") {
-        // `check-bench` rejects >1x speedups on a single-core host
-        // unless the table says where they come from.
-        let caveat = if host_cores == 1 {
-            "\n  \"caveat\": \"single-core host: group-commit speedups come from batching fsyncs, not parallel execution\","
-        } else {
-            ""
-        };
-        let mut json = format!(
-            "{{\n  \"bench\": \"wal_append\",\n  \"units\": \"ns_per_round\",\n  \"host_cores\": {host_cores},{caveat}\n  \"cells\": [\n",
-        );
-        for (i, c) in cells.iter().enumerate() {
-            let batch = c.batch.map_or("null".into(), |b| b.to_string());
-            let speedup = if c.mode == "group" {
-                format!("{:.2}", direct_always / c.round_ns)
-            } else {
-                "null".into()
-            };
-            json.push_str(&format!(
-                "    {{\"mode\": \"{}\", \"policy\": \"{}\", \"batch\": {batch}, \"round_ns\": {:.1}, \"speedup_vs_direct_always\": {speedup}}}{}\n",
-                c.mode,
-                c.policy,
-                c.round_ns,
-                if i + 1 == cells.len() { "" } else { "," },
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        std::fs::write(&path, json).expect("write FASEA_BENCH_JSON");
-        println!("wrote {path}");
-    }
+    table.finish();
 }

@@ -347,13 +347,7 @@ pub fn check_bench_doc(doc: &Json) -> Result<(), String> {
         }
     }
     check_single_core_speedups(top, cells)?;
-    if matches!(top.get("bench"), Some(Json::String(name)) if name == "oracle_compare") {
-        check_oracle_compare_doc(top, cells)?;
-    }
-    if matches!(top.get("bench"), Some(Json::String(name)) if name == "models_residency") {
-        check_models_residency_doc(top, cells)?;
-    }
-    Ok(())
+    check_required_keys(top, cells)
 }
 
 /// A speedup above 1× measured on a single-core host cannot come from
@@ -390,84 +384,76 @@ fn check_single_core_speedups(top: &BTreeMap<String, Json>, cells: &[Json]) -> R
     Ok(())
 }
 
-/// The bench-specific schema for `BENCH_oracle.json` (the
-/// `oracle_compare` bench): latency numbers comparing oracles are only
-/// interpretable when each row names the oracle and the instance size,
-/// carries a throughput, and the file records the host's parallelism.
-fn check_oracle_compare_doc(top: &BTreeMap<String, Json>, cells: &[Json]) -> Result<(), String> {
-    if top.get("host_cores").is_none() {
-        return Err("oracle_compare: missing required key \"host_cores\"".into());
-    }
-    for (i, cell) in cells.iter().enumerate() {
-        let Json::Object(fields) = cell else {
-            unreachable!("cell shape checked by the shared schema");
-        };
-        match fields.get("oracle") {
-            Some(Json::String(s)) if !s.is_empty() => {}
-            Some(other) => {
-                return Err(format!(
-                    "oracle_compare: cells[{i}].oracle must be a non-empty string, got {}",
-                    other.type_name()
-                ))
-            }
-            None => return Err(format!("oracle_compare: cells[{i}] is missing \"oracle\"")),
-        }
-        for key in ["num_events", "rounds_per_sec"] {
-            match fields.get(key) {
-                Some(Json::Number(n)) if *n > 0.0 => {}
-                Some(other) => {
-                    return Err(format!(
-                        "oracle_compare: cells[{i}].{key} must be a positive number, got {}",
-                        match other {
-                            Json::Number(n) => format!("{n}"),
-                            other => other.type_name().to_string(),
-                        }
-                    ))
-                }
-                None => return Err(format!("oracle_compare: cells[{i}] is missing \"{key}\"")),
-            }
-        }
-    }
-    Ok(())
+/// What a bench-specific required cell key must hold.
+#[derive(Clone, Copy)]
+enum Required {
+    NonEmptyString,
+    Positive,
+    NonNegative,
 }
 
-/// The bench-specific schema for `BENCH_models.json` (the
-/// `models_residency` bench): residency numbers are only interpretable
-/// when each cell says which tiering mode produced them — the cohort
-/// count (`0` = flat), the per-user state representation, the sketch
-/// rank, and how many selections the cohort tier actually served — and
-/// the file records the host's parallelism.
-fn check_models_residency_doc(top: &BTreeMap<String, Json>, cells: &[Json]) -> Result<(), String> {
+/// Bench-specific schema: `(bench, cell key, what it must hold)`. Every
+/// cell of a listed bench must carry each of its keys, and the file
+/// must record `host_cores`.
+///
+/// * `oracle_compare` — latency numbers comparing oracles are only
+///   interpretable when each row names the oracle and the instance
+///   size and carries a throughput.
+/// * `models_residency` — residency numbers are only interpretable when
+///   each cell says which tiering mode produced them: the cohort count
+///   (`0` = flat), the per-user state representation, the sketch rank,
+///   and how many selections the cohort tier actually served.
+const REQUIRED_CELL_KEYS: &[(&str, &str, Required)] = &[
+    ("oracle_compare", "oracle", Required::NonEmptyString),
+    ("oracle_compare", "num_events", Required::Positive),
+    ("oracle_compare", "rounds_per_sec", Required::Positive),
+    ("models_residency", "state", Required::NonEmptyString),
+    ("models_residency", "cohorts", Required::NonNegative),
+    ("models_residency", "sketch_rank", Required::NonNegative),
+    ("models_residency", "cohort_hits", Required::NonNegative),
+];
+
+fn check_required_keys(top: &BTreeMap<String, Json>, cells: &[Json]) -> Result<(), String> {
+    let Some(Json::String(bench)) = top.get("bench") else {
+        unreachable!("bench name checked by the shared schema");
+    };
+    let rules: Vec<_> = REQUIRED_CELL_KEYS
+        .iter()
+        .filter(|(b, _, _)| b == bench)
+        .collect();
+    if rules.is_empty() {
+        return Ok(());
+    }
     if top.get("host_cores").is_none() {
-        return Err("models_residency: missing required key \"host_cores\"".into());
+        return Err(format!("{bench}: missing required key \"host_cores\""));
     }
     for (i, cell) in cells.iter().enumerate() {
         let Json::Object(fields) = cell else {
             unreachable!("cell shape checked by the shared schema");
         };
-        match fields.get("state") {
-            Some(Json::String(s)) if !s.is_empty() => {}
-            Some(other) => {
+        for &&(_, key, required) in &rules {
+            let value = fields
+                .get(key)
+                .ok_or_else(|| format!("{bench}: cells[{i}] is missing \"{key}\""))?;
+            let holds = match (required, value) {
+                (Required::NonEmptyString, Json::String(s)) => !s.is_empty(),
+                (Required::Positive, Json::Number(n)) => *n > 0.0,
+                (Required::NonNegative, Json::Number(n)) => *n >= 0.0,
+                _ => false,
+            };
+            if !holds {
+                let got = match value {
+                    Json::Number(n) => format!("{n}"),
+                    other => other.type_name().to_string(),
+                };
+                let want = match required {
+                    Required::NonEmptyString => "a non-empty string",
+                    Required::Positive => "a positive number",
+                    Required::NonNegative => "a non-negative number",
+                };
                 return Err(format!(
-                    "models_residency: cells[{i}].state must be a non-empty string, got {}",
-                    other.type_name()
-                ))
-            }
-            None => return Err(format!("models_residency: cells[{i}] is missing \"state\"")),
-        }
-        for key in ["cohorts", "sketch_rank", "cohort_hits"] {
-            match fields.get(key) {
-                Some(Json::Number(n)) if *n >= 0.0 => {}
-                Some(other) => {
-                    return Err(format!(
-                        "models_residency: cells[{i}].{key} must be a non-negative number, got {}",
-                        match other {
-                            Json::Number(n) => format!("{n}"),
-                            other => other.type_name().to_string(),
-                        }
-                    ))
-                }
-                None => return Err(format!("models_residency: cells[{i}] is missing \"{key}\"")),
+                    "{bench}: cells[{i}].{key} must be {want}, got {got}"
+                ));
             }
         }
     }

@@ -32,9 +32,9 @@ cargo bench -q --no-run
 echo "==> cargo build --release (perfbench)"
 cargo build -q --release --manifest-path perfbench/Cargo.toml
 
-# Smoke the scoring hot path (~2s): exercises the legacy-vs-batched and
-# serial-vs-parallel bit-equality assertions (including the |V| = 100k
-# and 1M ScorePool cells) with a tiny time budget. Deliberately does NOT
+# Smoke the scoring hot path (~2s): exercises the serial-vs-parallel
+# bit-equality assertions (including the |V| = 100k and 1M ScorePool
+# cells) with a tiny time budget. Deliberately does NOT
 # set FASEA_BENCH_JSON — the committed BENCH_scoring.json numbers come
 # from a full-budget run, not this smoke.
 echo "==> scoring_hot_path smoke (FASEA_BENCH_MS=25)"
@@ -112,6 +112,20 @@ FASEA_BENCH_MS=25 cargo bench -q -p fasea-bench --bench pipeline_throughput
 # BENCH_oracle.json comes from a full-budget run, not this smoke.
 echo "==> oracle_compare smoke (FASEA_BENCH_MS=25)"
 FASEA_BENCH_MS=25 cargo bench -q -p fasea-bench --bench oracle_compare
+
+# Smoke the other ten benches (~6s) through the one table writer: each
+# runs its whole grid at a tiny budget and writes its table into a
+# scratch directory, and check-bench must accept every table written.
+# The committed BENCH_*.json numbers come from full-budget runs.
+echo "==> all-bench smoke + check-bench on every table written (FASEA_BENCH_MS=25)"
+bench_json_dir="$(mktemp -d)"
+trap 'rm -rf "$bench_json_dir"' EXIT
+for bench in round_latency dimension_latency oracle_greedy linalg_micro ablations \
+  datagen_throughput serve_roundtrip wal_append serve_throughput shard_scaling; do
+  FASEA_BENCH_MS=25 FASEA_BENCH_JSON="$bench_json_dir/$bench.json" \
+    cargo bench -q -p fasea-bench --bench "$bench"
+done
+cargo run -q -p fasea-experiments --bin fasea-exp -- check-bench "$bench_json_dir"/*.json
 
 # Every committed bench-result table must still parse and keep the
 # shared schema (object with "bench"/"units"/non-empty "cells" of flat
